@@ -357,17 +357,6 @@ class CameronMartinSystem:
         return FemFunction(self.op.mesh, full)
 
 
-def export_boundary_csv(g: BoundaryFunction, path) -> None:
-    """Write a boundary function as 'arclength,value' rows in chain order."""
-    chain, s, _ = boundary_chain(g.mesh)
-    order = _chain_positions(g.node_indices, chain)
-    vals = g.values[order]
-    with open(path, "w", encoding="ascii") as f:
-        f.write("arclength,value\n")
-        for si, vi in zip(s, vals):
-            f.write(f"{si:.17g},{vi:.17g}\n")
-
-
 def measurable_trace_series(
     op: DiscreteSolutionOperator,
     basis: EigenBasis,

@@ -10,7 +10,8 @@ writes into ``<outdir>/<experiment>/<config-hash>/``:
 
 All randomness flows through the seeded stream recorded in the outputs, and
 reductions run in fixed batch order, so a rerun with the same config and
-seed is byte-identical regardless of the worker bound.
+seed is byte-identical.  The run directory is created only when the
+experiment succeeds, so a failed run leaves no output behind.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance-threshold violation.
@@ -35,7 +36,7 @@ from .convergence import (
     l2_realization_diagnostic,
     truncation_error_closed_form,
 )
-from .fem import BoundaryCondition, assemble_mass, solve_deterministic
+from .fem import BoundaryCondition, assemble_mass, point_evaluation, point_vector, solve_deterministic
 from .mesh import Mesh, build_interval_mesh, build_rectangle_mesh, read_mesh, refine_uniform
 from .noise import GaussianStream
 from .sampling import (
@@ -272,6 +273,17 @@ def _mesh_levels(cfg: ExperimentConfig) -> list[Mesh]:
     return [cfg.base_mesh(n) for n in cfg.levels]
 
 
+def _probe_mesh(cfg: ExperimentConfig) -> Mesh:
+    """The first-level mesh, after checking that every probe point lies on it."""
+    mesh = cfg.base_mesh(cfg.levels[0])
+    for p in cfg.points:
+        try:
+            point_evaluation(mesh, p)
+        except ValueError:
+            raise ConfigError("points", f"point {p} is outside the mesh") from None
+    return mesh
+
+
 def _require_domain(cfg: ExperimentConfig):
     if cfg.domain is None:
         raise ConfigError("domain", f"experiment '{cfg.experiment}' needs a model domain")
@@ -296,11 +308,9 @@ def run_solve(cfg: ExperimentConfig):
 
 
 def run_sample(cfg: ExperimentConfig):
-    mesh = cfg.base_mesh(cfg.levels[0])
+    mesh = _probe_mesh(cfg)
     op = DiscreteSolutionOperator(mesh, cfg.bc, cfg.lam)
     points = cfg.points or [tuple(mesh.nodes[mesh.n_nodes // 2])]
-    from .fem import point_vector
-
     P = np.stack([point_vector(mesh, p)[op.free] for p in points])
     rows = []
     for i in range(cfg.samples):
@@ -318,7 +328,7 @@ def run_sample(cfg: ExperimentConfig):
 
 
 def run_covariance(cfg: ExperimentConfig):
-    mesh = cfg.base_mesh(cfg.levels[0])
+    mesh = _probe_mesh(cfg)
     op = DiscreteSolutionOperator(mesh, cfg.bc, cfg.lam)
     stream = GaussianStream(cfg.seed, cfg.stream_id)
     moments = monte_carlo_moments(op, cfg.points, cfg.samples, stream)
@@ -384,7 +394,7 @@ def run_truncate(cfg: ExperimentConfig):
 
 
 def run_holder(cfg: ExperimentConfig):
-    mesh = cfg.base_mesh(cfg.levels[0])
+    mesh = _probe_mesh(cfg)
     op = DiscreteSolutionOperator(mesh, cfg.bc, cfg.lam)
     pts = cfg.points
     pairs = [(pts[i], pts[i + 1]) for i in range(0, len(pts) - 1, 2)]
@@ -432,8 +442,7 @@ _RUNNERS = {
 }
 
 
-def run(experiment: str, config_path: str, outdir: str, seed: int | None = None,
-        workers: int | None = None) -> int:
+def run(experiment: str, config_path: str, outdir: str, seed: int | None = None) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
         raw = parse_config_text(Path(config_path).read_text(encoding="utf-8"))
@@ -446,8 +455,6 @@ def run(experiment: str, config_path: str, outdir: str, seed: int | None = None,
         return 2
 
     digest = config_hash(cfg)
-    target = Path(outdir) / experiment / digest
-    target.mkdir(parents=True, exist_ok=True)
     meta = {
         "config_hash": digest,
         "seed": cfg.seed,
@@ -469,6 +476,8 @@ def run(experiment: str, config_path: str, outdir: str, seed: int | None = None,
     status = result[3] if len(result) > 3 else 0
     csv_meta = {"config_hash": digest, "seed": cfg.seed, "version": __version__}
     report = {"meta": csv_meta, **report}
+    target = Path(outdir) / experiment / digest
+    target.mkdir(parents=True, exist_ok=True)
     write_json(target / "report.json", report)
     write_csv(target / "levels.csv", header, rows, csv_meta)
     write_json(target / "meta.json", meta)
@@ -484,11 +493,9 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="bound on parallel workers (results are worker-count independent)")
     parser.add_argument("--outdir", default="results", help="output directory root")
     args = parser.parse_args(argv)
-    return run(args.experiment, args.config, args.outdir, seed=args.seed, workers=args.workers)
+    return run(args.experiment, args.config, args.outdir, seed=args.seed)
 
 
 if __name__ == "__main__":

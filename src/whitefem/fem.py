@@ -122,22 +122,12 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_array:
 def assemble_stiffness(mesh: Mesh) -> sp.csr_array:
     """K_ij = integral of grad(phi_i) . grad(phi_j); exact for P1."""
     meas = _check_measures(mesh)
-    m = mesh.n_elements
     if mesh.dim == 1:
-        h = meas
         base = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        local = base[None, :, :] / h[:, None, None]
+        local = base[None, :, :] / meas[:, None, None]
     else:
-        pts = mesh.nodes[mesh.elements]
-        # Gradient of barycentric basis i: rotate opposite edge by 90deg / (2A).
-        e0 = pts[:, 2] - pts[:, 1]
-        e1 = pts[:, 0] - pts[:, 2]
-        e2 = pts[:, 1] - pts[:, 0]
-        bx = np.stack([e0[:, 1], e1[:, 1], e2[:, 1]], axis=1)
-        by = np.stack([-e0[:, 0], -e1[:, 0], -e2[:, 0]], axis=1)
-        inv2A = 1.0 / (2.0 * meas)
-        gx = bx * inv2A[:, None]
-        gy = by * inv2A[:, None]
+        G = element_gradients(mesh)
+        gx, gy = G[:, :, 0], G[:, :, 1]
         local = (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]) * meas[
             :, None, None
         ]
@@ -174,16 +164,6 @@ def assemble_boundary_mass(mesh: Mesh) -> sp.csr_array:
     return sp.coo_array((local.ravel(), (ii.ravel(), jj.ravel())), shape=(n, n)).tocsr()
 
 
-def system_matrix(mesh: Mesh, bc: BoundaryCondition, lam: float) -> sp.csr_array:
-    """A = K + lam * M (+ beta * R for Robin), on the full node set."""
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    A = assemble_stiffness(mesh) + lam * assemble_mass(mesh)
-    if bc.kind == ROBIN:
-        A = A + bc.beta * assemble_boundary_mass(mesh)
-    return A.tocsr()
-
-
 # -- factorized solves -------------------------------------------------------
 
 
@@ -209,16 +189,27 @@ def sparse_cholesky(M: sp.sparray) -> sp.csc_array:
 class FactorizedSystem:
     """Shared, reusable solver for A c = b on the free degrees of freedom.
 
-    For Dirichlet problems the boundary rows/columns are eliminated and the
-    solution is re-embedded with exact zeros on the boundary.  Instances are
-    immutable after construction and safe for repeated backsolves.
+    The single owner of the discrete operators: K, M and (Robin only) R are
+    assembled here once, and A_full = K + lam M (+ beta R) on the full node
+    set is built from them.  For Dirichlet problems the boundary rows/columns
+    are eliminated and the solution is re-embedded with exact zeros on the
+    boundary.  Instances are immutable after construction and safe for
+    repeated backsolves.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
+        if not lam > 0:
+            raise ValueError(f"lambda must be positive, got {lam}")
         self.mesh = mesh
         self.bc = bc
         self.lam = float(lam)
-        self.A_full = system_matrix(mesh, bc, lam)
+        self.K = assemble_stiffness(mesh)
+        self.M = assemble_mass(mesh)
+        self.R = assemble_boundary_mass(mesh) if bc.kind == ROBIN else None
+        A = self.K + lam * self.M
+        if self.R is not None:
+            A = A + bc.beta * self.R
+        self.A_full = A.tocsr()
         if bc.kind == DIRICHLET:
             fixed = mesh.boundary_nodes()
             mask = np.ones(mesh.n_nodes, dtype=bool)
@@ -279,13 +270,10 @@ def solve_deterministic(mesh: Mesh, bc: BoundaryCondition, lam: float, load: np.
     load = np.asarray(load, dtype=np.float64)
     if load.shape != (mesh.n_nodes,):
         raise ValueError(f"load vector length {load.shape} != node count {mesh.n_nodes}")
-    b_free = load[sys.free]
-    c_free = sys.solve_free(b_free)
-    res = sys.residual(c_free, b_free)
+    c = sys.solve(load)
+    res = sys.residual(c[sys.free], load[sys.free])
     if res > _RESIDUAL_TOL:
         raise RuntimeError(f"solver residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e}")
-    c = np.zeros(mesh.n_nodes)
-    c[sys.free] = c_free
     return FemFunction(mesh, c)
 
 
@@ -456,11 +444,3 @@ def fem_values_at_quadrature(u_coeff: np.ndarray, mesh: Mesh, bary: np.ndarray) 
     if local.ndim == 2:
         return np.einsum("qk,mk->mq", bary, local)
     return np.einsum("qk,mkr->mqr", bary, local)
-
-
-def export_coo(A: sp.sparray, path) -> None:
-    """Write a sparse matrix as 'row col value' lines (debugging aid)."""
-    coo = sp.coo_array(A)
-    with open(path, "w", encoding="ascii") as f:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{i} {j} {v:.17g}\n")

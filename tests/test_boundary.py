@@ -252,17 +252,3 @@ class TestConsistencyAndExports:
         u = FemFunction(m, op.system.solve(load))
         d = weak_conormal_derivative(u, load, 1.0, K=op.K, M=op.M)
         assert np.abs(d.values).max() < 1e-12
-
-    def test_boundary_csv_export(self, tmp_path):
-        from whitefem.boundary import export_boundary_csv
-
-        m = build_rectangle_mesh(1.0, 1.0, 2, 2)
-        u = FemFunction(m, m.nodes[:, 0] + 2.0 * m.nodes[:, 1])
-        path = tmp_path / "trace.csv"
-        export_boundary_csv(trace(u), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "arclength,value"
-        assert len(lines) == 1 + m.boundary_nodes().size
-        s0, v0 = lines[1].split(",")
-        assert float(s0) == 0.0
-        assert float(v0) == 0.0  # chain starts at the origin corner

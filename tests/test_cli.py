@@ -119,13 +119,6 @@ class TestCliRuns:
         assert code1 == code2 == 0
         assert first == second
 
-    def test_worker_flag_does_not_change_output(self, tmp_path):
-        _, outdir = run_cli(tmp_path, "covariance", COVARIANCE_CONFIG, extra=["--workers", "1"])
-        one = {f.name: f.read_bytes() for f in sorted(outdir.glob("covariance/*/*"))}
-        _, outdir2 = run_cli(tmp_path, "covariance", COVARIANCE_CONFIG, extra=["--workers", "4"])
-        four = {f.name: f.read_bytes() for f in sorted(outdir2.glob("covariance/*/*"))}
-        assert one == four
-
     def test_seed_override_separates_output_dirs(self, tmp_path):
         _, outdir = run_cli(tmp_path, "truncate", TRUNCATE_CONFIG, extra=["--seed", "1"])
         _, outdir = run_cli(tmp_path, "truncate", TRUNCATE_CONFIG, extra=["--seed", "2"])
@@ -214,3 +207,15 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     code = main(["sample", "--config", str(cfg), "--outdir", str(tmp_path / "out")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_probe_point_outside_mesh_is_config_error(tmp_path, capsys):
+    config = (
+        "domain = rectangle\nlx = 1\nly = 1\nbc = neumann\nlambda = 1.0\nlevels = 4\n"
+        "samples = 10\npoints = 0.5,0.5; 3.0,3.0\n"
+    )
+    code, outdir = run_cli(tmp_path, "covariance", config)
+    assert code == 2
+    assert "field 'points'" in capsys.readouterr().err
+    assert not outdir.exists()

@@ -61,6 +61,10 @@ class TestDeterministicFemError:
         raw = ctx.mode_errors_l2(basis, 1.0, 0, 64)
         assert (errs <= raw + 1e-15).all()
 
+    def test_mass_comes_from_the_system(self):
+        ctx = _LevelContext(build_rectangle_mesh(1.0, 1.0, 4, 4), neumann(), 1.0)
+        assert ctx.M is ctx.system.M
+
     def test_exact_values_at_quadrature_give_zero(self):
         # degenerate check bypassing the P1 representation entirely
         mesh = build_rectangle_mesh(np.pi, np.pi, 4, 4)

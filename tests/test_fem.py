@@ -18,8 +18,8 @@ from whitefem.fem import (
     robin,
     solve_deterministic,
     sparse_cholesky,
-    system_matrix,
 )
+import whitefem.fem as fem
 from whitefem.mesh import Mesh, build_interval_mesh, build_rectangle_mesh, refine_uniform
 
 UNIT_TRIANGLE = Mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]], [0, 1, 2])
@@ -143,11 +143,43 @@ class TestSolve:
     def test_galerkin_orthogonality(self):
         m = build_rectangle_mesh(1.0, 1.0, 5, 5)
         lam = 1.3
-        A = system_matrix(m, neumann(), lam)
+        A = FactorizedSystem(m, neumann(), lam).A_full
         rng = np.random.default_rng(11)
         b = rng.standard_normal(m.n_nodes)
         u = solve_deterministic(m, neumann(), lam, b)
         assert np.abs(A @ u.coefficients - b).max() <= 1e-9 * np.abs(b).max()
+
+    @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.8)])
+    def test_system_matrix_is_built_from_owned_operators(self, bc):
+        m = refine_uniform(build_rectangle_mesh(2.0, 1.0, 4, 3))
+        lam = 0.7
+        sysm = FactorizedSystem(m, bc, lam)
+        expected = sysm.K + lam * sysm.M
+        if bc.kind == "robin":
+            expected = expected + bc.beta * sysm.R
+        else:
+            assert sysm.R is None
+        assert np.array_equal(sysm.A_full.toarray(), expected.toarray())
+
+    def test_nonpositive_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda"):
+            FactorizedSystem(build_interval_mesh(0.0, 1.0, 4), neumann(), 0.0)
+
+    @pytest.mark.parametrize("bc", [dirichlet(), robin(1.5)])
+    def test_cg_branch_matches_direct_solve(self, bc, monkeypatch):
+        m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 6, 6))
+        direct = FactorizedSystem(m, bc, 0.9)
+        monkeypatch.setattr(fem, "_DIRECT_LIMIT", 0)
+        iterative = FactorizedSystem(m, bc, 0.9)
+        assert direct._lu is not None and iterative._lu is None
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((direct.n_free, 3))
+        for b in (B[:, 0], B):
+            x_cg = iterative.solve_free(b)
+            x_lu = direct.solve_free(b)
+            assert x_cg.shape == x_lu.shape
+            assert np.abs(x_cg - x_lu).max() <= 1e-8 * np.abs(x_lu).max()
+            assert iterative.residual(x_cg, b) <= 1e-9
 
     @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.8)])
     def test_system_positive_definite(self, bc):
@@ -259,16 +291,3 @@ def test_boundary_condition_validation():
     with pytest.raises(ValueError):
         BoundaryCondition("periodic")
 
-
-def test_export_coo_roundtrips_entries(tmp_path):
-    from whitefem.fem import export_coo
-
-    m = build_interval_mesh(0.0, 1.0, 3)
-    K = assemble_stiffness(m)
-    path = tmp_path / "K.txt"
-    export_coo(K, path)
-    rows = [line.split() for line in path.read_text().splitlines()]
-    rebuilt = np.zeros(K.shape)
-    for i, j, v in rows:
-        rebuilt[int(i), int(j)] += float(v)
-    assert np.array_equal(rebuilt, K.toarray())

@@ -37,6 +37,13 @@ class TestSamplePath:
         two = neumann_op.path_from_normals(2.0 * z)
         assert np.array_equal(two.coefficients, 2.0 * one.coefficients)
 
+    def test_operators_come_from_the_system(self):
+        mesh = build_rectangle_mesh(1.0, 1.0, 4, 4)
+        op = DiscreteSolutionOperator(mesh, robin(2.0), 1.0)
+        assert op.K is op.system.K
+        assert op.M is op.system.M
+        assert op.R is op.system.R
+
     def test_path_satisfies_discrete_equation(self, neumann_op):
         path, load = sample_path_with_load(neumann_op, GaussianStream(9, 4))
         residual = neumann_op.system.A_full @ path.coefficients - load.b
