@@ -36,15 +36,14 @@ from .convergence import (
     l2_realization_diagnostic,
     truncation_error_closed_form,
 )
-from .fem import BoundaryCondition, assemble_mass, point_evaluation, point_vector, solve_deterministic
+from .fem import BoundaryCondition, FactorizedSystem, point_evaluation
 from .mesh import Mesh, build_interval_mesh, build_rectangle_mesh, read_mesh, refine_uniform
 from .noise import GaussianStream
 from .sampling import (
     DiscreteSolutionOperator,
     exact_discrete_covariance,
     monte_carlo_moments,
-    pointwise_variance_field,
-    sample_path,
+    point_values,
 )
 from .spectral import Interval, ModelDomain, Rectangle, eigenpairs
 
@@ -108,7 +107,10 @@ class ExperimentConfig:
 
     def base_mesh(self, n: int) -> Mesh:
         if self.mesh_file is not None:
-            mesh = read_mesh(self.mesh_file)
+            try:
+                mesh = read_mesh(self.mesh_file)
+            except (OSError, ValueError) as exc:
+                raise ConfigError("mesh_file", str(exc)) from None
             for _ in range(n):
                 mesh = refine_uniform(mesh)
             return mesh
@@ -291,10 +293,10 @@ def _require_domain(cfg: ExperimentConfig):
 
 
 def run_solve(cfg: ExperimentConfig):
-    mesh = cfg.base_mesh(cfg.levels[0])
-    M = assemble_mass(mesh)
     load_const = _get_float(cfg.raw, "load_constant", 1.0)
-    u = solve_deterministic(mesh, cfg.bc, cfg.lam, M @ np.full(mesh.n_nodes, load_const))
+    mesh = cfg.base_mesh(cfg.levels[0])
+    system = FactorizedSystem(mesh, cfg.bc, cfg.lam)
+    u = system.solve_checked(system.M @ np.full(mesh.n_nodes, load_const))
     rows = [[i, *mesh.nodes[i], u.coefficients[i]] for i in range(mesh.n_nodes)]
     header = ["node", *(f"x{d}" for d in range(mesh.dim)), "value"]
     report = {
@@ -311,13 +313,13 @@ def run_sample(cfg: ExperimentConfig):
     mesh = _probe_mesh(cfg)
     op = DiscreteSolutionOperator(mesh, cfg.bc, cfg.lam)
     points = cfg.points or [tuple(mesh.nodes[mesh.n_nodes // 2])]
-    P = np.stack([point_vector(mesh, p)[op.free] for p in points])
-    rows = []
+    G = op.point_functionals(points)
+    vals = np.empty((cfg.samples, len(points)))
     for i in range(cfg.samples):
-        path = sample_path(op, GaussianStream(cfg.seed, cfg.stream_id + i))
-        rows.append([i, *(P @ path.coefficients[op.free])])
+        z = GaussianStream(cfg.seed, cfg.stream_id + i).normals(mesh.n_nodes)
+        vals[i] = point_values(z[None, :], G)[0]
+    rows = [[i, *v] for i, v in enumerate(vals)]
     header = ["path", *(f"p{j}" for j in range(len(points)))]
-    vals = np.array([row[1:] for row in rows])
     report = {
         "experiment": "sample",
         "n_paths": cfg.samples,

@@ -259,22 +259,25 @@ class FactorizedSystem:
             return float(np.linalg.norm(self.A @ c_free))
         return float(np.linalg.norm(self.A @ c_free - b_free) / bnorm)
 
+    def solve_checked(self, load: np.ndarray) -> FemFunction:
+        """Ritz-Galerkin solution for a dual-coordinate load vector.
+
+        The relative residual of the reduced system is checked against 1e-10;
+        failure raises RuntimeError with the observed value.
+        """
+        load = np.asarray(load, dtype=np.float64)
+        if load.shape != (self.mesh.n_nodes,):
+            raise ValueError(f"load vector length {load.shape} != node count {self.mesh.n_nodes}")
+        c = self.solve(load)
+        res = self.residual(c[self.free], load[self.free])
+        if res > _RESIDUAL_TOL:
+            raise RuntimeError(f"solver residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e}")
+        return FemFunction(self.mesh, c)
+
 
 def solve_deterministic(mesh: Mesh, bc: BoundaryCondition, lam: float, load: np.ndarray) -> FemFunction:
-    """Ritz-Galerkin solution for a dual-coordinate load vector.
-
-    The relative residual of the reduced system is checked against 1e-10;
-    failure raises RuntimeError with the observed value.
-    """
-    sys = FactorizedSystem(mesh, bc, lam)
-    load = np.asarray(load, dtype=np.float64)
-    if load.shape != (mesh.n_nodes,):
-        raise ValueError(f"load vector length {load.shape} != node count {mesh.n_nodes}")
-    c = sys.solve(load)
-    res = sys.residual(c[sys.free], load[sys.free])
-    if res > _RESIDUAL_TOL:
-        raise RuntimeError(f"solver residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e}")
-    return FemFunction(mesh, c)
+    """Ritz-Galerkin solution for a dual-coordinate load, on a fresh system."""
+    return FactorizedSystem(mesh, bc, lam).solve_checked(load)
 
 
 # -- pointwise evaluation ----------------------------------------------------

@@ -52,10 +52,14 @@ class GaussianStream:
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         ctr = np.array([block, 0, 0, 0], dtype=np.uint64)
         raw = np.random.Philox(key=key, counter=ctr).random_raw(offset + n)[offset:]
-        # Top 53 bits to (0, 1), strictly inside so ndtri stays finite.
-        u = ((raw >> np.uint64(11)) + 0.5) * 2.0**-53
+        # Top 53 bits to (0, 1), strictly inside so ndtri stays finite.  Every
+        # step after the shift works in place on one float array.
+        raw >>= np.uint64(11)
+        u = raw.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
         self.counter += n
-        return ndtri(u)
+        return ndtri(u, out=u)
 
     def substream(self, offset: int) -> "GaussianStream":
         """Fresh stream with stream_id shifted by offset (counter reset)."""

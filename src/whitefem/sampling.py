@@ -1,11 +1,18 @@
 """Path sampling of the discrete solution field and its exact second moments.
 
-A sampled path is X_h = A^{-1} b with b the white-noise load: on V_h the
-measurable-extension series collapses to exact finite linear algebra, so no
-mode truncation enters a path.  Second moments also have closed discrete
+A sampled path is X_h = A^{-1} b with b = L z the white-noise load: on V_h
+the measurable-extension series collapses to exact finite linear algebra, so
+no mode truncation enters a path.  Second moments also have closed discrete
 forms (two backsolves against the shared factorization per covariance entry);
 Monte Carlo is kept alongside as an independent check, never as the primary
 route where the formula exists.
+
+A path's value at a point x is a fixed linear functional of its normals,
+X_h(x) = p(x)^T A^{-1} L z = g_x^T z with g_x = L^T A^{-1} p(x).  Monte Carlo
+at probe points therefore solves once for the functionals g_x and then costs
+one contraction per path, with no load vector and no solve.  The functionals
+use the load factor L, never M, so the check against the closed form
+p^T A^{-1} M A^{-1} p still tests L L^T = M.
 """
 
 from __future__ import annotations
@@ -53,6 +60,18 @@ class DiscreteSolutionOperator:
     def free(self) -> np.ndarray:
         return self.system.free
 
+    def point_functionals(self, points) -> np.ndarray:
+        """G (n_nodes, p) with X_h(x_k) = z @ G[:, k] for the path of normals z.
+
+        G = L^T W, where W = A^{-1} P^T on the free nodes and 0 on Dirichlet
+        rows: one solve of p columns against the shared factorization.  G is
+        column-major, so each point's functional is one contiguous run.
+        """
+        P = np.stack([point_vector(self.mesh, p)[self.free] for p in points], axis=1)
+        W = np.zeros((self.mesh.n_nodes, P.shape[1]))
+        W[self.free] = self.system.solve_free(P)
+        return np.asfortranarray(self.sampler.chol.T @ W)
+
     def path_from_load(self, load: LoadSample) -> FemFunction:
         return FemFunction(self.mesh, self.system.solve(load.b))
 
@@ -71,6 +90,15 @@ def sample_path_with_load(op: DiscreteSolutionOperator, stream: GaussianStream):
     """(X_h, b) drawn jointly, for checks that pair a path with its own load."""
     load = op.sampler.sample(stream)
     return op.path_from_load(load), load
+
+
+def point_values(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Values (paths, p) at G's points of the paths whose normals are Z's rows.
+
+    einsum's own loops, unlike a BLAS matmul, sum in an order that does not
+    depend on the BLAS thread count, so outputs are byte-stable.
+    """
+    return np.einsum("pn,kn->pk", Z, G.T)
 
 
 def exact_discrete_covariance(op: DiscreteSolutionOperator, x, y) -> float:
@@ -123,21 +151,23 @@ def monte_carlo_moments(
 ) -> MomentReport:
     """Sample moments of X_h at evaluation points over n independent paths.
 
-    Paths are generated in fixed-size batches in stream order, and all
-    reductions run over the stored path-major array, so results do not depend
-    on scheduling.  Standard errors use the Gaussian moment formulas.
+    Path k takes the k-th run of n_nodes normals of the stream, drawn in
+    fixed-size batches, and its values are its normals contracted with the
+    point functionals.  All reductions run over the stored path-major array,
+    so results do not depend on scheduling.  Standard errors use the Gaussian
+    moment formulas.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     pts = [np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in points]
-    P = np.stack([point_vector(op.mesh, p)[op.free] for p in pts])  # (p, n_free)
+    G = op.point_functionals(pts)
+    n_nodes = op.mesh.n_nodes
     values = np.empty((n, len(pts)))
     done = 0
     while done < n:
         count = min(_BATCH, n - done)
-        B = op.sampler.sample_batch(stream, count)[op.free]
-        C = op.system.solve_free(B)
-        values[done : done + count] = (P @ C).T
+        Z = stream.normals(count * n_nodes).reshape(count, n_nodes)
+        values[done : done + count] = point_values(Z, G)
         done += count
     mean = values.sum(axis=0) / n
     centered = values - mean

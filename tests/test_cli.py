@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import whitefem.fem
 from whitefem.cli import ConfigError, build_config, config_hash, main, parse_config_text
 
 CONVERGE_CONFIG = """\
@@ -195,19 +200,83 @@ class TestCliRuns:
         assert code == 0
 
 
-def test_numerical_failure_exits_3(tmp_path, capsys):
-    # clockwise triangle in an imported mesh trips validation at run time
-    bad_mesh = tmp_path / "bad_mesh.txt"
-    bad_mesh.write_text(
-        "2 3 1 3\n0 0\n1 0\n0 1\n0 2 1\n0 1 0\n1 2 1\n2 0 2\n"
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a factorization probe that cannot meet its tolerance
+    monkeypatch.setattr("whitefem.sampling._PROBE_TOL", 0.0)
+    config = (
+        "domain = rectangle\nlx = 1\nly = 1\nbc = neumann\nlambda = 1.0\nlevels = 4\n"
+        "samples = 10\npoints = 0.5,0.5\n"
     )
-    config = f"mesh_file = {bad_mesh}\nbc = neumann\nlambda = 1.0\nlevels = 1\nsamples = 10\n"
-    cfg = tmp_path / "config.txt"
-    cfg.write_text(config)
-    code = main(["sample", "--config", str(cfg), "--outdir", str(tmp_path / "out")])
+    code, outdir = run_cli(tmp_path, "sample", config)
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("contents", [
+    # clockwise triangle: mesh validation fails
+    "2 3 1 3\n0 0\n1 0\n0 1\n0 2 1\n0 1 0\n1 2 1\n2 0 2\n",
+    # header promises more lines than the file has
+    "2 3 1 3\n0 0\n1 0\n",
+    None,
+], ids=["clockwise", "truncated", "missing"])
+def test_bad_mesh_file_is_config_error(tmp_path, capsys, contents):
+    bad_mesh = tmp_path / "bad_mesh.txt"
+    if contents is not None:
+        bad_mesh.write_text(contents)
+    config = f"mesh_file = {bad_mesh}\nbc = neumann\nlambda = 1.0\nlevels = 1\nsamples = 10\n"
+    code, outdir = run_cli(tmp_path, "sample", config)
+    assert code == 2
+    assert "field 'mesh_file'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_solve_assembles_mass_once(tmp_path, monkeypatch):
+    calls = []
+    original = whitefem.fem.assemble_mass
+
+    def counting(mesh):
+        calls.append(mesh.n_nodes)
+        return original(mesh)
+
+    # every module that binds the function, so no import path escapes the count
+    for name, module in list(sys.modules.items()):
+        if name.startswith("whitefem") and getattr(module, "assemble_mass", None) is original:
+            monkeypatch.setattr(module, "assemble_mass", counting)
+    config = "domain = rectangle\nlx = 1\nly = 1\nbc = robin\nbeta = 0.5\nlambda = 2.0\nlevels = 8\n"
+    code, _ = run_cli(tmp_path, "solve", config)
+    assert code == 0
+    assert calls == [81]
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # At this size and point count a BLAS matmul of the path normals with the
+    # point functionals changes some `mc` bytes between 1 and 2 threads.
+    config = tmp_path / "config.txt"
+    config.write_text(
+        "domain = rectangle\nlx = 2\nly = 1\nbc = robin\nbeta = 0.7\nlambda = 1.5\n"
+        "levels = 64\nsamples = 300\nseed = 5\n"
+        "points = 0.3,0.2; 1.1,0.5; 1.9,0.95; 0.7,0.7; 1.5,0.1\n"
+    )
+    src = str(Path(whitefem.__file__).resolve().parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outdir = tmp_path / f"threads{threads}"
+        for experiment in ("covariance", "sample"):
+            subprocess.run(
+                [sys.executable, "-m", "whitefem.cli", experiment, "--config", str(config),
+                 "--outdir", str(outdir)],
+                env=env, check=True, capture_output=True,
+            )
+        trees.append(_tree(outdir))
+    assert len(trees[0]) == 6
+    assert trees[0] == trees[1]
 
 
 def test_probe_point_outside_mesh_is_config_error(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whitefem.fem import dirichlet, evaluate, neumann, robin
+from whitefem.fem import dirichlet, evaluate, neumann, point_vector, robin
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
 from whitefem.noise import GaussianStream
 from whitefem.sampling import (
@@ -98,6 +98,37 @@ class TestMonteCarloMoments:
         rep = monte_carlo_moments(neumann_op, [(1.0, 1.0)], 16, GaussianStream(42, 7))
         assert rep.seed == 42
         assert rep.stream_id == 7
+
+    @pytest.mark.parametrize(
+        "mesh, bc, points",
+        [
+            (build_rectangle_mesh(np.pi, np.pi, 6, 5), neumann(),
+             [(0.4, 0.9), (1.7, 2.2), (3.0, 0.1)]),
+            (build_rectangle_mesh(1.0, 1.0, 5, 6), dirichlet(),
+             [(0.3, 0.4), (0.75, 0.6), (0.0, 0.5)]),
+            (build_rectangle_mesh(2.0, 1.0, 6, 4), robin(0.8),
+             [(0.2, 0.3), (1.1, 0.9), (1.9, 0.05)]),
+            (build_interval_mesh(0.0, np.pi, 23), dirichlet(), [(0.3,), (1.7,), (2.9,)]),
+        ],
+        ids=["neumann", "dirichlet", "robin", "interval-dirichlet"],
+    )
+    def test_functional_route_matches_load_and_solve(self, mesh, bc, points):
+        # the same paths through the load b = L z and a solve per path
+        op = DiscreteSolutionOperator(mesh, bc, 1.3)
+        n = 300
+        stream = GaussianStream(19, 2)
+        rep = monte_carlo_moments(op, points, n, stream)
+        assert stream.counter == n * mesh.n_nodes
+
+        B = op.sampler.sample_batch(GaussianStream(19, 2), n)
+        C = op.system.solve_free(B[op.free])
+        P = np.stack([point_vector(mesh, p)[op.free] for p in points])
+        values = (P @ C).T
+        mean = values.mean(axis=0)
+        cov = np.cov(values, rowvar=False)
+        scale = np.diag(cov).max()
+        np.testing.assert_allclose(rep.mean, mean, rtol=1e-12, atol=1e-12 * np.sqrt(scale))
+        np.testing.assert_allclose(rep.covariance, cov, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestVarianceField:
