@@ -105,7 +105,7 @@ def _check_measures(mesh: Mesh) -> np.ndarray:
     meas = mesh.element_measures()
     bad = np.nonzero(meas <= 0)[0]
     if bad.size:
-        raise ValueError(f"degenerate element {bad[0]}: measure {meas[bad[0]]!r}")
+        raise ValueError(f"degenerate element {bad[0]}: measure {float(meas[bad[0]])}")
     return meas
 
 
@@ -435,15 +435,3 @@ def element_gradients(mesh: Mesh) -> np.ndarray:
     G[:, 1, 0], G[:, 1, 1] = -e1[:, 1] * inv2A, e1[:, 0] * inv2A
     G[:, 2, 0], G[:, 2, 1] = -e2[:, 1] * inv2A, e2[:, 0] * inv2A
     return G
-
-
-def fem_values_at_quadrature(u_coeff: np.ndarray, mesh: Mesh, bary: np.ndarray) -> np.ndarray:
-    """P1 values at the reference quadrature points of each element.
-
-    u_coeff may be a single coefficient vector (n_nodes,) or a stack
-    (n_nodes, r); the result has shape (m, q) or (m, q, r).
-    """
-    local = u_coeff[mesh.elements]  # (m, k) or (m, k, r)
-    if local.ndim == 2:
-        return np.einsum("qk,mk->mq", bary, local)
-    return np.einsum("qk,mkr->mqr", bary, local)

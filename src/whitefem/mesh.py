@@ -116,7 +116,7 @@ class Mesh:
         meas = self.element_measures()
         bad = np.nonzero(meas <= 0)[0]
         if bad.size:
-            raise ValueError(f"element {bad[0]} has nonpositive measure {meas[bad[0]]!r}")
+            raise ValueError(f"element {bad[0]} has nonpositive measure {float(meas[bad[0]])}")
         self._check_boundary_cover()
 
     def _check_boundary_cover(self):

@@ -111,7 +111,8 @@ def exact_discrete_covariance(op: DiscreteSolutionOperator, x, y) -> float:
     py = point_vector(op.mesh, y)[op.free]
     wx = op.system.solve_free(px)
     wy = wx if np.array_equal(px, py) else op.system.solve_free(py)
-    return float(wx @ (op.M_free @ wy))
+    # einsum, not a BLAS dot, so the sum order does not depend on the thread count
+    return float(np.einsum("i,i->", wx, op.M_free @ wy))
 
 
 def pointwise_variance_field(op: DiscreteSolutionOperator, chunk: int = 512) -> FemFunction:

@@ -93,6 +93,12 @@ class IntervalEigenBasis:
         x = np.asarray(points, dtype=np.float64).reshape(-1) - self.domain.a
         sl = slice(start, stop)
         arg = self.omega[sl, None] * x[None, :]
+        # Dirichlet and Neumann modes have an all-zero sine or cosine half;
+        # dropping it leaves every value inside the domain unchanged.
+        if self.bc.kind == NEUMANN:
+            return self.amp_cos[sl, None] * np.cos(arg)
+        if self.bc.kind == DIRICHLET:
+            return self.amp_sin[sl, None] * np.sin(arg)
         return self.amp_cos[sl, None] * np.cos(arg) + self.amp_sin[sl, None] * np.sin(arg)
 
     def evaluate_deriv(self, points, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -188,11 +194,19 @@ class RectangleEigenBasis:
         return self.mu.size
 
     def evaluate(self, points, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Mode values, shape (stop - start, n_points).
+
+        The 1D modes are evaluated once per distinct coordinate and then
+        gathered, which gives the same values as evaluating them at every
+        point: quadrature and mesh points share few distinct coordinates.
+        """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        ex = self.basis_x.evaluate(pts[:, 0])
-        ey = self.basis_y.evaluate(pts[:, 1])
+        xs, jx = np.unique(pts[:, 0], return_inverse=True)
+        ys, jy = np.unique(pts[:, 1], return_inverse=True)
         sl = slice(start, stop)
-        return ex[self.ix[sl]] * ey[self.iy[sl]]
+        ex = self.basis_x.evaluate(xs)[self.ix[sl]]
+        ey = self.basis_y.evaluate(ys)[self.iy[sl]]
+        return ex[:, jx] * ey[:, jy]
 
     def evaluate_grad(self, points, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Gradients, shape (stop - start, n_points, 2)."""

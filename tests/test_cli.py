@@ -253,29 +253,62 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
 
 
-def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # At this size and point count a BLAS matmul of the path normals with the
-    # point functionals changes some `mc` bytes between 1 and 2 threads.
+def _trees_under_blas_threads(tmp_path, config_text, experiments):
+    """Output trees of the experiments run in subprocesses with 1 and 2 BLAS threads."""
     config = tmp_path / "config.txt"
-    config.write_text(
-        "domain = rectangle\nlx = 2\nly = 1\nbc = robin\nbeta = 0.7\nlambda = 1.5\n"
-        "levels = 64\nsamples = 300\nseed = 5\n"
-        "points = 0.3,0.2; 1.1,0.5; 1.9,0.95; 0.7,0.7; 1.5,0.1\n"
-    )
+    config.write_text(config_text)
     src = str(Path(whitefem.__file__).resolve().parents[1])
     trees = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         outdir = tmp_path / f"threads{threads}"
-        for experiment in ("covariance", "sample"):
+        for experiment in experiments:
             subprocess.run(
                 [sys.executable, "-m", "whitefem.cli", experiment, "--config", str(config),
                  "--outdir", str(outdir)],
                 env=env, check=True, capture_output=True,
             )
         trees.append(_tree(outdir))
+    return trees
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # At this size and point count a BLAS matmul of the path normals with the
+    # point functionals changes some `mc` bytes between 1 and 2 threads.
+    trees = _trees_under_blas_threads(
+        tmp_path,
+        "domain = rectangle\nlx = 2\nly = 1\nbc = robin\nbeta = 0.7\nlambda = 1.5\n"
+        "levels = 64\nsamples = 300\nseed = 5\n"
+        "points = 0.3,0.2; 1.1,0.5; 1.9,0.95; 0.7,0.7; 1.5,0.1\n",
+        ("covariance", "sample"),
+    )
     assert len(trees[0]) == 6
+    assert trees[0] == trees[1]
+
+
+def test_exact_covariance_does_not_depend_on_blas_threads(tmp_path):
+    # At 128 x 128 (16,641 nodes) a BLAS dot in the exact covariance changes
+    # `exact` bytes between 1 and 2 threads.
+    trees = _trees_under_blas_threads(
+        tmp_path,
+        "domain = rectangle\nlx = 2\nly = 1\nbc = robin\nbeta = 0.7\nlambda = 1.5\n"
+        "levels = 128\nsamples = 20\nseed = 5\n"
+        "points = 0.3,0.2; 1.1,0.5; 1.9,0.95; 0.7,0.7; 1.5,0.1\n",
+        ("covariance",),
+    )
+    assert len(trees[0]) == 3
+    assert trees[0] == trees[1]
+
+
+def test_converge_does_not_depend_on_blas_threads(tmp_path):
+    trees = _trees_under_blas_threads(
+        tmp_path,
+        "domain = rectangle\nlx = 3.141592653589793\nly = 3.141592653589793\nbc = neumann\n"
+        "lambda = 1.0\nr = 0.1\nlevels = 8, 16, 32\nbasis_count = 512\nseed = 3\n",
+        ("converge",),
+    )
+    assert len(trees[0]) == 3
     assert trees[0] == trees[1]
 
 

@@ -11,7 +11,8 @@ from whitefem.convergence import (
     l2_realization_diagnostic,
     truncation_error_closed_form,
 )
-from whitefem.fem import dirichlet, neumann
+import whitefem.convergence as convergence
+from whitefem.fem import dirichlet, neumann, robin
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
 from whitefem.noise import GaussianStream
 from whitefem.sampling import DiscreteSolutionOperator
@@ -107,6 +108,68 @@ class TestDeterministicFemError:
         dom = Rectangle(1.0, 1.0)
         with pytest.raises(ValueError, match="r"):
             deterministic_fem_error(dom, neumann(), 1.0, -0.1, [build_rectangle_mesh(1, 1, 2, 2)])
+
+
+def _unchunked_errors(ctx, basis, lam, k0, k1, load_rule, fem_apply=None):
+    """The error kernel as one formula over all quadrature points at once."""
+    m_el, q = ctx.qweights.shape
+    exact = basis.evaluate(ctx.flat_points, k0, k1).reshape(k1 - k0, m_el, q)
+    pts = ctx.mesh.nodes[:, 0] if ctx.mesh.dim == 1 else ctx.mesh.nodes
+    if fem_apply is not None:
+        sols = fem_apply(basis.evaluate(pts, k0, k1).T)
+    elif load_rule == "interpolation":
+        sols = ctx.system.solve(ctx.M @ basis.evaluate(pts, k0, k1).T)
+    else:
+        loads = np.zeros((ctx.mesh.n_nodes, k1 - k0))
+        local = np.einsum("qk,mq,Bmq->mkB", ctx.bary, ctx.qweights, exact)
+        np.add.at(loads, ctx.mesh.elements, local)
+        sols = ctx.system.solve(loads)
+    fem_q = np.einsum("qk,mkB->mqB", ctx.bary, sols[ctx.mesh.elements])
+    exact_q = np.moveaxis(exact / (basis.mu[k0:k1, None, None] + lam), 0, -1)
+    diff = exact_q - fem_q
+    return np.einsum("mq,mqB->B", ctx.qweights, diff * diff)
+
+
+# Element counts that are not multiples of the chunk size: 13 x 9 x 2 = 234
+# triangles and 300 intervals.
+KERNEL_CASES = {
+    "neumann": (Rectangle(np.pi, 2.0), neumann(), lambda: build_rectangle_mesh(np.pi, 2.0, 13, 9)),
+    "dirichlet": (Rectangle(np.pi, 2.0), dirichlet(), lambda: build_rectangle_mesh(np.pi, 2.0, 13, 9)),
+    "robin": (Rectangle(np.pi, 2.0), robin(0.6), lambda: build_rectangle_mesh(np.pi, 2.0, 13, 9)),
+    "interval-robin": (Interval(0.0, 2.0), robin(1.5), lambda: build_interval_mesh(0.0, 2.0, 300)),
+}
+
+
+class TestChunkedErrorKernel:
+    @pytest.mark.parametrize("load_rule", ["interpolation", "quadrature", "fem_apply"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matches_unchunked_formula(self, case, load_rule):
+        domain, bc, make_mesh = KERNEL_CASES[case]
+        mesh = make_mesh()
+        assert mesh.n_elements % convergence._CHUNK != 0 and mesh.n_elements > convergence._CHUNK
+        lam, k0, k1 = 1.3, 20, 140
+        basis = eigenpairs(domain, bc, 160)
+        ctx = _LevelContext(mesh, bc, lam)
+        fem_apply = None
+        if load_rule == "fem_apply":
+            def fem_apply(nodal):  # exact solve at the nodes
+                return nodal / (basis.mu[None, k0:k1] + lam)
+        rule = "interpolation" if fem_apply else load_rule
+        got = ctx.mode_errors_l2(basis, lam, k0, k1, fem_apply=fem_apply, load_rule=rule)
+        want = _unchunked_errors(ctx, basis, lam, k0, k1, rule, fem_apply)
+        assert np.all(want > 0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", ["robin", "interval-robin"])
+    def test_chunk_values_are_the_mode_values(self, case):
+        domain, bc, make_mesh = KERNEL_CASES[case]
+        basis = eigenpairs(domain, bc, 160)
+        ctx = _LevelContext(make_mesh(), bc, 1.0)
+        for k0, k1 in ((0, 100), (100, 160)):
+            chunks = [values for _, values in ctx._mode_chunks(ctx._mode_columns(basis, k0, k1))]
+            got = np.concatenate(chunks).reshape(-1, k1 - k0)
+            want = basis.evaluate(ctx.flat_points, k0, k1).T
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +318,7 @@ class TestMcDeterministicAgreement:
         ctx = _LevelContext(mesh, bc, lam)
 
         modes_q = basis.evaluate(ctx.flat_points, 0, J)  # (J, nq)
-        loads = ctx.quadrature_loads(modes_q)  # (n_nodes, J)
+        loads = ctx.quadrature_loads(basis, 0, J)  # (n_nodes, J)
         w_q = ctx.qweights.ravel()
         weights = (1.0 + basis.mu) ** -r
 

@@ -108,7 +108,7 @@ def test_mesh_validation_rejects_bad_indices():
 
 
 def test_mesh_validation_rejects_clockwise_triangle():
-    with pytest.raises(ValueError, match="nonpositive measure"):
+    with pytest.raises(ValueError, match=r"^element 0 has nonpositive measure -0\.5$"):
         Mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 2, 1]], [[0, 1], [1, 2], [2, 0]], [0, 0, 0])
 
 

@@ -96,6 +96,32 @@ class TestEigenpairs:
         gram = (E * W) @ E.T
         assert np.abs(gram - np.eye(10)).max() < 1e-8
 
+    @pytest.mark.parametrize(
+        "bc", [dirichlet(), neumann(), robin(0.8)], ids=["dirichlet", "neumann", "robin"]
+    )
+    def test_rectangle_table_route_is_bitwise_the_product(self, bc):
+        # evaluate() takes the 1D modes at the distinct coordinates only; the
+        # values must be exactly those of the 1D modes at every point.
+        basis = eigenpairs(Rectangle(np.pi, 2.0), bc, 600)
+        gx, gy = np.meshgrid(np.linspace(0, np.pi, 41), np.linspace(0, 2.0, 23), indexing="ij")
+        grid = np.column_stack([gx.ravel(), gy.ravel()])
+        scattered = np.random.default_rng(3).uniform(0.0, 1.0, (700, 2)) * [np.pi, 2.0]
+        for pts in (grid, scattered):
+            ex = basis.basis_x.evaluate(pts[:, 0])
+            ey = basis.basis_y.evaluate(pts[:, 1])
+            for start, stop in ((0, None), (37, 411)):
+                sl = slice(start, stop)
+                got = basis.evaluate(pts, start, stop)
+                assert got.tobytes() == (ex[basis.ix[sl]] * ey[basis.iy[sl]]).tobytes()
+
+    @pytest.mark.parametrize("bc", [dirichlet(), neumann()], ids=["dirichlet", "neumann"])
+    def test_zero_half_skip_is_bitwise_the_full_formula(self, bc):
+        basis = eigenpairs(Interval(0.3, 2.0), bc, 200)
+        x = np.concatenate([np.linspace(0.3, 2.0, 51), np.random.default_rng(4).uniform(0.3, 2.0, 300)])
+        arg = basis.omega[:, None] * (x - 0.3)[None, :]
+        full = basis.amp_cos[:, None] * np.cos(arg) + basis.amp_sin[:, None] * np.sin(arg)
+        assert basis.evaluate(x).tobytes() == full.tobytes()
+
     def test_robin_modes_satisfy_boundary_condition_analytically(self):
         beta = 2.0
         basis = eigenpairs(Interval(0.0, 1.0), robin(beta), 5)
