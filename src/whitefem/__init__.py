@@ -66,4 +66,4 @@ from .convergence import (
     truncation_error_closed_form,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -167,23 +167,28 @@ def assemble_boundary_mass(mesh: Mesh) -> sp.csr_array:
 # -- factorized solves -------------------------------------------------------
 
 
-def sparse_cholesky(M: sp.sparray) -> sp.csc_array:
-    """Lower-triangular sparse L with L L^T = M, in the natural node ordering.
+def sparse_cholesky(M: sp.sparray) -> tuple[sp.csc_array, np.ndarray]:
+    """Sparse Cholesky factor of M under a fill-reducing symmetric ordering.
 
-    Uses an LU factorization with diagonal pivoting disabled so that no rows
-    are permuted; for a symmetric positive definite M this yields exactly the
-    Cholesky factor.  The fixed ordering keeps sampled load vectors
-    reproducible across runs.
+    Returns (L, order): L is lower triangular with L L^T = M[order][:, order].
+    The ordering is SuperLU's minimum degree on the pattern of M + M^T,
+    followed by an LU factorization with diagonal pivoting disabled; for a
+    symmetric positive definite M this keeps the row and column orderings
+    equal and yields exactly the Cholesky factor of the permuted matrix.
+    The ordering is a deterministic function of the sparsity pattern, so
+    sampled load vectors stay reproducible across runs.
     """
     Mc = sp.csc_matrix(M)
-    lu = splu(Mc, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    if not (np.array_equal(lu.perm_r, np.arange(Mc.shape[0]))
-            and np.array_equal(lu.perm_c, np.arange(Mc.shape[0]))):
-        raise ValueError("factorization permuted rows: matrix is not SPD in natural order")
+    lu = splu(Mc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ValueError("factorization pivoted off the diagonal: matrix is not SPD")
     d = lu.U.diagonal()
     if not (d > 0).all():
         raise ValueError("matrix is not positive definite (nonpositive pivot)")
-    return (lu.L @ sp.diags_array(np.sqrt(d))).tocsc()
+    # perm_c[i] is the position of node i in the factor; order inverts it.
+    order = np.argsort(lu.perm_c)
+    return (lu.L @ sp.diags_array(np.sqrt(d))).tocsc(), order
 
 
 class FactorizedSystem:
@@ -217,8 +222,8 @@ class FactorizedSystem:
             self.free = np.nonzero(mask)[0]
         else:
             self.free = np.arange(mesh.n_nodes)
-        self.A = self.A_full[np.ix_(self.free, self.free)].tocsc()
         self.n_free = self.free.size
+        self.A = self.restrict(self.A_full).tocsc()
         if self.n_free == 0:
             raise ValueError("no free degrees of freedom (Dirichlet on a boundary-only mesh)")
         if self.n_free <= _DIRECT_LIMIT:
@@ -227,6 +232,12 @@ class FactorizedSystem:
         else:
             self._lu = None
             self._diag = self.A.diagonal()
+
+    def restrict(self, S: sp.sparray) -> sp.sparray:
+        """S on the free rows and columns; S itself when every node is free."""
+        if self.n_free == self.mesh.n_nodes:
+            return S
+        return S[np.ix_(self.free, self.free)]
 
     def solve_free(self, b_free: np.ndarray) -> np.ndarray:
         """Solve on free dofs; accepts a vector or a matrix of columns."""
@@ -249,6 +260,8 @@ class FactorizedSystem:
         load = np.asarray(load, dtype=np.float64)
         if load.shape[0] != self.mesh.n_nodes:
             raise ValueError("load vector length does not match node count")
+        if self.n_free == self.mesh.n_nodes:
+            return self.solve_free(load)
         c = np.zeros(load.shape)
         c[self.free] = self.solve_free(load[self.free])
         return c

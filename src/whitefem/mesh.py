@@ -120,28 +120,30 @@ class Mesh:
         self._check_boundary_cover()
 
     def _check_boundary_cover(self):
-        # Facets of each element, as sorted tuples; boundary facets appear once.
-        counts: dict = {}
+        # Facets of each element as sorted node pairs (single nodes in 1D),
+        # encoded as one integer each; boundary facets appear once.
         if self.dim == 1:
-            for el in self.elements:
-                for v in el:
-                    key = (int(v),)
-                    counts[key] = counts.get(key, 0) + 1
+            facets = self.elements.reshape(-1, 1)
         else:
-            for el in self.elements:
-                a, b, c = (int(v) for v in el)
-                for key in ((a, b), (b, c), (c, a)):
-                    key = tuple(sorted(key))
-                    counts[key] = counts.get(key, 0) + 1
-        boundary = {k for k, v in counts.items() if v == 1}
-        if any(v > 2 for v in counts.values()):
+            e = self.elements
+            facets = np.concatenate([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
+        keys, counts = np.unique(self._facet_keys(facets), return_counts=True)
+        boundary = keys[counts == 1]
+        if (counts > 2).any():
             raise ValueError("a facet is shared by more than two elements")
-        declared = {tuple(sorted(int(v) for v in row)) for row in self.facet_nodes}
-        if declared != boundary:
+        declared = np.unique(self._facet_keys(self.facet_nodes))
+        if not np.array_equal(declared, boundary):
             raise ValueError(
                 "declared boundary facets do not cover the topological boundary: "
-                f"{len(declared)} declared vs {len(boundary)} actual"
+                f"{declared.size} declared vs {boundary.size} actual"
             )
+
+    def _facet_keys(self, facets: np.ndarray) -> np.ndarray:
+        """One integer per facet, independent of the order of its nodes."""
+        if self.dim == 1:
+            return facets[:, 0]
+        lo, hi = np.sort(facets, axis=1).T
+        return lo * self.n_nodes + hi
 
 
 def build_interval_mesh(a: float, b: float, n: int) -> Mesh:

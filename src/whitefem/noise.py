@@ -6,10 +6,13 @@ substreams are splittable for parallel Monte Carlo and sequences are stable
 across platforms and runs.  This generation scheme is frozen; golden tests
 pin exact output values.
 
-Load vectors b_i = W(phi_i) are sampled as b = L z with M = L L^T the sparse
-Cholesky factorization of the consistent mass matrix in the natural node
-ordering (no mass lumping: lumping would perturb the load covariance by
-O(h^2) and contaminate measured convergence rates).
+Load vectors b_i = W(phi_i) are sampled as b = F z with F F^T = M exactly, M
+the consistent mass matrix (no mass lumping: lumping would perturb the load
+covariance by O(h^2) and contaminate measured convergence rates).  F is the
+sparse Cholesky factor of M under a fill-reducing node ordering, with its
+rows put back in node order; any exact square root of M gives the same load
+law, and this one has a fraction of the natural-order factor's fill.  A load
+consumes one normal per node.
 """
 
 from __future__ import annotations
@@ -83,12 +86,18 @@ class LoadSample:
 
 
 class LoadSampler:
-    """Factor the mass matrix once, then draw many load vectors against it."""
+    """Factor the mass matrix once, then draw many load vectors against it.
+
+    `chol` is the sparse square root F of M (F F^T = M, one column per
+    normal): the permuted Cholesky factor L of `sparse_cholesky`, whose row
+    k belongs to node order[k], with its rows put back in node order.
+    """
 
     def __init__(self, mesh: Mesh, M: sp.sparray):
         self.mesh = mesh
         self.M = M
-        self.chol = sparse_cholesky(M)
+        L, order = sparse_cholesky(M)
+        self.chol = L[np.argsort(order)]
 
     def sample(self, stream: GaussianStream) -> LoadSample:
         z = stream.normals(self.mesh.n_nodes)

@@ -1,6 +1,6 @@
 """Path sampling of the discrete solution field and its exact second moments.
 
-A sampled path is X_h = A^{-1} b with b = L z the white-noise load: on V_h
+A sampled path is X_h = A^{-1} b with b = F z the white-noise load: on V_h
 the measurable-extension series collapses to exact finite linear algebra, so
 no mode truncation enters a path.  Second moments also have closed discrete
 forms (two backsolves against the shared factorization per covariance entry);
@@ -8,11 +8,11 @@ Monte Carlo is kept alongside as an independent check, never as the primary
 route where the formula exists.
 
 A path's value at a point x is a fixed linear functional of its normals,
-X_h(x) = p(x)^T A^{-1} L z = g_x^T z with g_x = L^T A^{-1} p(x).  Monte Carlo
+X_h(x) = p(x)^T A^{-1} F z = g_x^T z with g_x = F^T A^{-1} p(x).  Monte Carlo
 at probe points therefore solves once for the functionals g_x and then costs
 one contraction per path, with no load vector and no solve.  The functionals
-use the load factor L, never M, so the check against the closed form
-p^T A^{-1} M A^{-1} p still tests L L^T = M.
+use the load factor F, never M, so the check against the closed form
+p^T A^{-1} M A^{-1} p still tests F F^T = M.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class DiscreteSolutionOperator:
         self.system = FactorizedSystem(mesh, bc, lam)
         self.K, self.M, self.R = self.system.K, self.system.M, self.system.R
         self.sampler = LoadSampler(mesh, self.M)
-        self.M_free = self.M[np.ix_(self.system.free, self.system.free)].tocsr()
+        self.M_free = self.system.restrict(self.M).tocsr()
         self._probe()
 
     def _probe(self):
@@ -63,7 +63,7 @@ class DiscreteSolutionOperator:
     def point_functionals(self, points) -> np.ndarray:
         """G (n_nodes, p) with X_h(x_k) = z @ G[:, k] for the path of normals z.
 
-        G = L^T W, where W = A^{-1} P^T on the free nodes and 0 on Dirichlet
+        G = F^T W, where W = A^{-1} P^T on the free nodes and 0 on Dirichlet
         rows: one solve of p columns against the shared factorization.  G is
         column-major, so each point's functional is one contiguous run.
         """

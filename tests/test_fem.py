@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from whitefem.fem import (
     BoundaryCondition,
@@ -181,6 +182,32 @@ class TestSolve:
             assert np.abs(x_cg - x_lu).max() <= 1e-8 * np.abs(x_lu).max()
             assert iterative.residual(x_cg, b) <= 1e-9
 
+    @pytest.mark.parametrize("bc", [neumann(), robin(0.8)])
+    def test_all_free_solve_skips_the_copy(self, bc):
+        m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 4, 3))
+        sysm = FactorizedSystem(m, bc, 0.7)
+        assert sysm.restrict(sysm.A_full) is sysm.A_full
+        restricted = sysm.A_full[np.ix_(sysm.free, sysm.free)].tocsc()
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(sysm.A, attr), getattr(restricted, attr))
+        rng = np.random.default_rng(9)
+        for b in (rng.standard_normal(m.n_nodes), rng.standard_normal((m.n_nodes, 3))):
+            assert np.array_equal(sysm.solve(b), sysm.solve_free(b))
+            copied = np.zeros(b.shape)
+            copied[sysm.free] = sysm.solve_free(b[sysm.free])
+            assert np.array_equal(sysm.solve(b), copied)
+
+    def test_dirichlet_solve_reembeds_exact_zeros(self):
+        m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 4, 3))
+        sysm = FactorizedSystem(m, dirichlet(), 0.7)
+        assert sysm.n_free < m.n_nodes
+        rng = np.random.default_rng(10)
+        for b in (rng.standard_normal(m.n_nodes), rng.standard_normal((m.n_nodes, 3))):
+            c = sysm.solve(b)
+            assert c.shape == b.shape
+            assert np.array_equal(c[m.boundary_nodes()], np.zeros_like(c[m.boundary_nodes()]))
+            assert np.array_equal(c[sysm.free], sysm.solve_free(b[sysm.free]))
+
     @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.8)])
     def test_system_positive_definite(self, bc):
         m = build_rectangle_mesh(1.0, 1.0, 3, 3)
@@ -265,15 +292,26 @@ class TestSparseCholesky:
     def test_reconstructs_mass_matrix(self):
         m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 4, 4))
         M = assemble_mass(m)
-        L = sparse_cholesky(M)
-        assert np.abs((L @ L.T - M).toarray()).max() < 1e-14
+        L, order = sparse_cholesky(M)
+        assert np.array_equal(np.sort(order), np.arange(m.n_nodes))
+        Mp = M.toarray()[np.ix_(order, order)]
+        assert np.abs((L @ L.T).toarray() - Mp).max() < 1e-14
         assert sp.triu(L, k=1).nnz == 0
 
     def test_matches_dense_cholesky(self):
         m = build_interval_mesh(0.0, 1.0, 6)
         M = assemble_mass(m)
-        L = sparse_cholesky(M).toarray()
-        assert np.allclose(L, np.linalg.cholesky(M.toarray()), atol=1e-14)
+        L, order = sparse_cholesky(M)
+        Mp = M.toarray()[np.ix_(order, order)]
+        assert np.allclose(L.toarray(), np.linalg.cholesky(Mp), atol=1e-14)
+
+    def test_fill_below_half_of_natural_order(self):
+        m = refine_uniform(refine_uniform(build_rectangle_mesh(1.0, 1.0, 16, 16)))
+        M = assemble_mass(m)
+        L, _ = sparse_cholesky(M)
+        natural = splu(sp.csc_matrix(M), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True)).L
+        assert L.nnz < 0.5 * natural.nnz
 
     def test_rejects_indefinite(self):
         A = sp.csc_array(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -120,6 +120,43 @@ def test_mesh_validation_rejects_wrong_boundary():
         Mesh(2, nodes, elements, [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]], [0, 1, 2, 3, 0])
 
 
+def test_mesh_validation_rejects_facet_shared_by_three_elements():
+    # segments (0,1), (0,2), (0,3) all end at node 0
+    with pytest.raises(ValueError, match="^a facet is shared by more than two elements$"):
+        Mesh(1, [[0.0], [1.0], [2.0], [3.0]], [[0, 1], [0, 2], [0, 3]], [[1], [2], [3]], [0, 0, 0])
+    # edge (0, 1) lies on three counterclockwise triangles
+    nodes = [[0, 0], [1, 0], [0, 1], [0.5, 1], [0.5, -1]]
+    elements = [[0, 1, 2], [0, 1, 3], [1, 0, 4]]
+    facets = [[1, 2], [2, 0], [1, 3], [3, 0], [0, 4], [4, 1]]
+    with pytest.raises(ValueError, match="^a facet is shared by more than two elements$"):
+        Mesh(2, nodes, elements, facets, [0] * 6)
+
+
+@pytest.mark.parametrize(
+    "dim, facets, counts",
+    [
+        (1, [[0]], "1 declared vs 2 actual"),
+        (1, [[0], [3], [1]], "3 declared vs 2 actual"),
+        (2, [[0, 1], [1, 2], [2, 3]], "3 declared vs 4 actual"),
+        (2, [[0, 1], [1, 2], [2, 3], [3, 0], [2, 0]], "5 declared vs 4 actual"),
+    ],
+)
+def test_mesh_validation_rejects_missing_or_extra_facet(dim, facets, counts):
+    if dim == 1:
+        nodes, elements = [[0.0], [1.0], [2.0], [3.0]], [[0, 1], [1, 2], [2, 3]]
+    else:
+        nodes, elements = [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]
+    message = "^declared boundary facets do not cover the topological boundary: " + counts + "$"
+    with pytest.raises(ValueError, match=message):
+        Mesh(dim, nodes, elements, facets, [0] * len(facets))
+
+
+def test_mesh_validation_accepts_facets_in_any_node_order():
+    nodes, elements = [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]
+    m = Mesh(2, nodes, elements, [[1, 0], [2, 1], [3, 2], [0, 3]], [0, 1, 2, 3])
+    assert m.n_facets == 4
+
+
 def test_mesh_file_roundtrip_bit_identical(tmp_path):
     m = refine_uniform(build_rectangle_mesh(np.pi, np.e, 3, 2))
     p1 = tmp_path / "mesh.txt"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from whitefem.fem import FemFunction, assemble_mass
-from whitefem.mesh import build_interval_mesh, build_rectangle_mesh
+from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, read_mesh, refine_uniform
 from whitefem.noise import (
     GaussianStream,
     LoadSampler,
@@ -69,6 +69,16 @@ class TestLoadSampling:
         assert np.array_equal(s1.b, s2.b)
         assert (s1.seed, s1.stream_id) == (42, 0)
 
+    def test_determinism_of_the_factor(self):
+        m = refine_uniform(build_rectangle_mesh(1.0, 2.0, 5, 3))
+        M = assemble_mass(m)
+        a, b = LoadSampler(m, M), LoadSampler(m, assemble_mass(m))
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a.chol, attr), getattr(b.chol, attr))
+        assert np.array_equal(a.sample(GaussianStream(5, 2)).b, b.sample(GaussianStream(5, 2)).b)
+        assert np.array_equal(a.sample_batch(GaussianStream(6, 1), 4),
+                              b.sample_batch(GaussianStream(6, 1), 4))
+
     def test_stream_advances_by_node_count(self):
         m = build_interval_mesh(0, 1, 8)
         stream = GaussianStream(1, 0)
@@ -113,6 +123,51 @@ class TestLoadSampling:
         for j in range(3):
             s = sampler.sample(seq_stream)
             assert np.array_equal(batch[:, j], s.b)
+
+
+# Hexagon around a centre node: six counterclockwise triangles and six facets.
+_HEXAGON = """2 7 6 6
+0 0
+1 0
+0.5 0.8660254037844386
+-0.5 0.8660254037844386
+-1 0
+-0.5 -0.8660254037844386
+0.5 -0.8660254037844386
+0 1 2
+0 2 3
+0 3 4
+0 4 5
+0 5 6
+0 6 1
+1 2 0
+2 3 0
+3 4 0
+4 5 0
+5 6 0
+6 1 0
+"""
+
+
+def _hexagon(tmp_path):
+    path = tmp_path / "hexagon.txt"
+    path.write_text(_HEXAGON)
+    return refine_uniform(refine_uniform(read_mesh(path)))
+
+
+class TestLoadFactor:
+    @pytest.mark.parametrize("mesh", ["interval", "rectangle", "refined", "polygon"])
+    def test_square_root_of_mass_matrix(self, mesh, tmp_path):
+        m = {
+            "interval": lambda: build_interval_mesh(0.0, 2.0, 37),
+            "rectangle": lambda: build_rectangle_mesh(np.pi, 1.0, 9, 4),
+            "refined": lambda: refine_uniform(refine_uniform(build_rectangle_mesh(1.0, 1.0, 6, 5))),
+            "polygon": lambda: _hexagon(tmp_path),
+        }[mesh]()
+        M = assemble_mass(m)
+        F = LoadSampler(m, M).chol
+        assert F.shape == (m.n_nodes, m.n_nodes)
+        assert np.abs((F @ F.T - M).toarray()).max() <= 1e-14 * np.abs(M).max()
 
 
 class TestSpectralTruncation:
