@@ -17,7 +17,6 @@ from .fem import (
     evaluate,
     h1_norm,
     l2_inner,
-    l2_norm,
     neumann,
     robin,
     solve_deterministic,

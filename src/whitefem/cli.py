@@ -58,10 +58,6 @@ class ConfigError(Exception):
         self.field = fld
 
 
-class NumericalFailure(Exception):
-    pass
-
-
 # -- configuration -------------------------------------------------------------
 
 

@@ -5,7 +5,10 @@ elimination of boundary rows and columns), Neumann, and Robin with coefficient
 beta > 0.  Element integrals of P1 products are exact closed forms, so no
 quadrature error enters the assembled operators.  Loads are dual vectors
 b_i = <f, phi_i>, which lets function loads (b = M f_nodal) and sampled
-white-noise loads share one solve path.
+white-noise loads share one solve path.  That path factors the system matrix
+once, as the symmetric positive definite matrix it is, under a geometric
+nested-dissection ordering of the free nodes, and every backsolve reuses the
+factor.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ ROBIN = "robin"
 # diagonally preconditioned CG; one factorization serves many backsolves
 # below the limit, which is what Monte Carlo needs.
 _DIRECT_LIMIT = 200_000
+# Nested-dissection sets of at most this many nodes are not split further.
+_ND_LEAF = 32
+# Columns per block of a multi-column direct solve.
+_SOLVE_CHUNK = 32
 _CG_RTOL = 1e-10
 _RESIDUAL_TOL = 1e-10
 
@@ -167,6 +174,22 @@ def assemble_boundary_mass(mesh: Mesh) -> sp.csr_array:
 # -- factorized solves -------------------------------------------------------
 
 
+def _symmetric_splu(A: sp.sparray, permc_spec: str):
+    """SuperLU factor of a symmetric matrix with diagonal pivots only.
+
+    With diagonal pivoting forced, the factor of a symmetric positive
+    definite matrix is its L D L^T factorization under the column ordering.
+    Raises ValueError when a pivot leaves the diagonal, which happens only
+    on a zero pivot.  The pivots' signs are not read here: reading them makes
+    lu keep CSC copies of its L and U factors for as long as lu lives.
+    """
+    lu = splu(sp.csc_matrix(A), permc_spec=permc_spec, diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ValueError("factorization pivoted off the diagonal: matrix is not SPD")
+    return lu
+
+
 def sparse_cholesky(M: sp.sparray) -> tuple[sp.csc_array, np.ndarray]:
     """Sparse Cholesky factor of M under a fill-reducing symmetric ordering.
 
@@ -178,17 +201,67 @@ def sparse_cholesky(M: sp.sparray) -> tuple[sp.csc_array, np.ndarray]:
     The ordering is a deterministic function of the sparsity pattern, so
     sampled load vectors stay reproducible across runs.
     """
-    Mc = sp.csc_matrix(M)
-    lu = splu(Mc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options=dict(SymmetricMode=True))
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise ValueError("factorization pivoted off the diagonal: matrix is not SPD")
+    lu = _symmetric_splu(M, "MMD_AT_PLUS_A")
     d = lu.U.diagonal()
     if not (d > 0).all():
         raise ValueError("matrix is not positive definite (nonpositive pivot)")
     # perm_c[i] is the position of node i in the factor; order inverts it.
     order = np.argsort(lu.perm_c)
-    return (lu.L @ sp.diags_array(np.sqrt(d))).tocsc(), order
+    L = lu.L
+    # Release SuperLU's storage and its U before L is scaled into a copy.
+    del lu
+    return (L @ sp.diags_array(np.sqrt(d))).tocsc(), order
+
+
+def nested_dissection(mesh: Mesh, free: np.ndarray) -> np.ndarray:
+    """Geometric nested-dissection ordering of the free nodes (George 1973).
+
+    Returns order, a permutation of range(free.size) in free-node numbering.
+    A node set is split at the median of its wider coordinate axis; the
+    separator is the lower-half nodes with an element neighbour in the upper
+    half.  Both halves are ordered recursively, then the separator, until a
+    set has at most _ND_LEAF nodes.  On a 2D mesh the factor of a matrix with
+    the element graph's pattern then has O(n log n) fill (Lipton, Rose and
+    Tarjan 1979).  Only coordinates and connectivity enter, so the ordering
+    is deterministic.
+    """
+    n = free.size
+    local = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    local[free] = np.arange(n)
+    el = local[mesh.elements]
+    k = el.shape[1]
+    pairs = np.sort(np.concatenate([el[:, [i, j]] for i in range(k) for j in range(i + 1, k)]), axis=1)
+    pairs = pairs[pairs[:, 0] >= 0]
+    # Each edge once, as (u, v) with u < v; int32 halves the traffic of the
+    # per-level gathers.
+    edges = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
+    u, v = (edges // n).astype(np.int32), (edges % n).astype(np.int32)
+    axes = [np.ascontiguousarray(mesh.nodes[free, d]) for d in range(mesh.dim)]
+    side = np.zeros(n, dtype=np.int8)  # 0 lower half, 1 upper half, 2 separator
+    parts: list[np.ndarray] = []
+
+    def dissect(idx, u, v):
+        if idx.size <= _ND_LEAF:
+            parts.append(idx)
+            return
+        c = max((a[idx] for a in axes), key=lambda a: a.max() - a.min())
+        med = np.partition(c, c.size // 2)[c.size // 2]
+        low = c < med
+        if not low.any():
+            low = c <= med
+        side[idx] = ~low
+        su, sv = side[u], side[v]
+        side[u[(su == 0) & (sv == 1)]] = 2
+        side[v[(sv == 0) & (su == 1)]] = 2
+        su, sv, s = side[u], side[v], side[idx]
+        halves = [(idx[s == h], (su == h) & (sv == h)) for h in (0, 1)]
+        for half, inside in halves:
+            dissect(half, u[inside], v[inside])
+        parts.append(idx[s == 2])
+
+    dissect(np.arange(n), u, v)
+    return np.concatenate(parts)
 
 
 class FactorizedSystem:
@@ -198,8 +271,11 @@ class FactorizedSystem:
     assembled here once, and A_full = K + lam M (+ beta R) on the full node
     set is built from them.  For Dirichlet problems the boundary rows/columns
     are eliminated and the solution is re-embedded with exact zeros on the
-    boundary.  Instances are immutable after construction and safe for
-    repeated backsolves.
+    boundary.  Up to _DIRECT_LIMIT free nodes, A is factored as the symmetric
+    positive definite matrix it is, under the nested-dissection ordering of
+    the free nodes (computed from the mesh before assembly); larger systems
+    use diagonally preconditioned CG.  Instances are immutable after
+    construction and safe for repeated backsolves.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
@@ -208,6 +284,17 @@ class FactorizedSystem:
         self.mesh = mesh
         self.bc = bc
         self.lam = float(lam)
+        if bc.kind == DIRICHLET:
+            mask = np.ones(mesh.n_nodes, dtype=bool)
+            mask[mesh.boundary_nodes()] = False
+            self.free = np.nonzero(mask)[0]
+        else:
+            self.free = np.arange(mesh.n_nodes)
+        self.n_free = self.free.size
+        if self.n_free == 0:
+            raise ValueError("no free degrees of freedom (Dirichlet on a boundary-only mesh)")
+        direct = self.n_free <= _DIRECT_LIMIT
+        self._order = nested_dissection(mesh, self.free) if direct else None
         self.K = assemble_stiffness(mesh)
         self.M = assemble_mass(mesh)
         self.R = assemble_boundary_mass(mesh) if bc.kind == ROBIN else None
@@ -215,19 +302,16 @@ class FactorizedSystem:
         if self.R is not None:
             A = A + bc.beta * self.R
         self.A_full = A.tocsr()
-        if bc.kind == DIRICHLET:
-            fixed = mesh.boundary_nodes()
-            mask = np.ones(mesh.n_nodes, dtype=bool)
-            mask[fixed] = False
-            self.free = np.nonzero(mask)[0]
-        else:
-            self.free = np.arange(mesh.n_nodes)
-        self.n_free = self.free.size
         self.A = self.restrict(self.A_full).tocsc()
-        if self.n_free == 0:
-            raise ValueError("no free degrees of freedom (Dirichlet on a boundary-only mesh)")
-        if self.n_free <= _DIRECT_LIMIT:
-            self._lu = splu(self.A)
+        if direct:
+            position = np.empty(self.n_free, dtype=np.int64)
+            position[self._order] = np.arange(self.n_free)
+            coo = self.A.tocoo()
+            permuted = sp.csc_matrix((coo.data, (position[coo.row], position[coo.col])),
+                                     shape=self.A.shape)
+            # A = K + lam M (+ beta R) is SPD because lam > 0, beta > 0 and
+            # every element measure is positive, all checked before this.
+            self._lu = _symmetric_splu(permuted, "NATURAL")
             self._diag = None
         else:
             self._lu = None
@@ -242,10 +326,26 @@ class FactorizedSystem:
     def solve_free(self, b_free: np.ndarray) -> np.ndarray:
         """Solve on free dofs; accepts a vector or a matrix of columns."""
         if self._lu is not None:
-            return self._lu.solve(b_free)
+            return self._solve_ordered(b_free)
         if b_free.ndim == 1:
             return self._cg_one(b_free)
         return np.column_stack([self._cg_one(col) for col in b_free.T])
+
+    def _solve_ordered(self, b: np.ndarray) -> np.ndarray:
+        # Each block of _SOLVE_CHUNK columns is gathered into the factor's
+        # ordering in the output's own columns, solved, and scattered back,
+        # so no permuted copy of a wide b is made.
+        cols = b.reshape(b.shape[0], -1)
+        x = np.empty(cols.shape, order="F")
+        order = self._order
+        for start in range(0, cols.shape[1], _SOLVE_CHUNK):
+            stop = start + _SOLVE_CHUNK
+            block = x[:, start:stop]
+            # order is a permutation, so "clip" changes no index; unlike the
+            # default mode it lets take write into block without a buffer.
+            np.take(cols[:, start:stop], order, axis=0, out=block, mode="clip")
+            x[order, start:stop] = self._lu.solve(block)
+        return x.reshape(b.shape)
 
     def _cg_one(self, b: np.ndarray) -> np.ndarray:
         precond = sp.diags_array(1.0 / self._diag)
@@ -296,42 +396,59 @@ def solve_deterministic(mesh: Mesh, bc: BoundaryCondition, lam: float, load: np.
 # -- pointwise evaluation ----------------------------------------------------
 
 
+def locate_points(mesh: Mesh, points) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices and barycentric weights, (p, dim+1) each, of every point.
+
+    Row k holds the element containing points[k] and its weights there.
+    Raises ValueError for the first point that lies outside the closed
+    domain.  On a shared face any containing element gives the same
+    interpolated value, so the first match is taken.  The per-element data
+    are computed once for all points.
+    """
+    pts = [np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in points]
+    for p in pts:
+        if p.shape != (mesh.dim,):
+            raise ValueError(f"point must have {mesh.dim} coordinates, got {p.shape}")
+    tol = 1e-12 * max(mesh.h, 1.0)
+    corners = mesh.nodes[mesh.elements]
+    found = np.empty(len(pts), dtype=np.int64)
+    weights = np.empty((len(pts), mesh.dim + 1))
+    if mesh.dim == 1:
+        left, right = corners[:, 0, 0].copy(), corners[:, 1, 0].copy()
+        lo, hi = left - tol, right + tol
+        for k, p in enumerate(pts):
+            x = p[0]
+            idx = np.nonzero((x >= lo) & (x <= hi))[0]
+            if idx.size == 0:
+                raise ValueError(f"point {x!r} is outside the mesh")
+            e = found[k] = idx[0]
+            t = (x - left[e]) / (right[e] - left[e])
+            t = min(max(t, 0.0), 1.0)
+            weights[k] = 1.0 - t, t
+        return mesh.elements[found], weights
+    (ax, ay), (bx, by), (cx, cy) = (corners[:, i].T.copy() for i in range(3))
+    det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+    bary_tol = tol / max(np.sqrt(np.abs(det).min()), tol)
+    for k, p in enumerate(pts):
+        w1 = ((bx - p[0]) * (cy - p[1]) - (cx - p[0]) * (by - p[1])) / det
+        w2 = ((cx - p[0]) * (ay - p[1]) - (ax - p[0]) * (cy - p[1])) / det
+        w3 = 1.0 - w1 - w2
+        idx = np.nonzero((w1 >= -bary_tol) & (w2 >= -bary_tol) & (w3 >= -bary_tol))[0]
+        if idx.size == 0:
+            raise ValueError(f"point {tuple(p)} is outside the mesh")
+        e = found[k] = idx[0]
+        w = np.clip(np.array([w1[e], w2[e], w3[e]]), 0.0, None)
+        weights[k] = w / w.sum()
+    return mesh.elements[found], weights
+
+
 def point_evaluation(mesh: Mesh, point) -> tuple[np.ndarray, np.ndarray]:
     """Node indices and barycentric weights of the element containing point.
 
-    Raises ValueError when the point lies outside the closed domain.  On a
-    shared face any containing element gives the same interpolated value, so
-    the first match is taken.
+    The one-point case of :func:`locate_points`.
     """
-    p = np.atleast_1d(np.asarray(point, dtype=np.float64))
-    if p.shape != (mesh.dim,):
-        raise ValueError(f"point must have {mesh.dim} coordinates, got {p.shape}")
-    tol = 1e-12 * max(mesh.h, 1.0)
-    pts = mesh.nodes[mesh.elements]
-    if mesh.dim == 1:
-        x = p[0]
-        left, right = pts[:, 0, 0], pts[:, 1, 0]
-        inside = (x >= left - tol) & (x <= right + tol)
-        idx = np.nonzero(inside)[0]
-        if idx.size == 0:
-            raise ValueError(f"point {x!r} is outside the mesh")
-        e = idx[0]
-        t = (x - left[e]) / (right[e] - left[e])
-        t = min(max(t, 0.0), 1.0)
-        return mesh.elements[e], np.array([1.0 - t, t])
-    a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
-    w1 = ((b[:, 0] - p[0]) * (c[:, 1] - p[1]) - (c[:, 0] - p[0]) * (b[:, 1] - p[1])) / det
-    w2 = ((c[:, 0] - p[0]) * (a[:, 1] - p[1]) - (a[:, 0] - p[0]) * (c[:, 1] - p[1])) / det
-    w3 = 1.0 - w1 - w2
-    bary_tol = tol / max(np.sqrt(np.abs(det).min()), tol)
-    ok = (w1 >= -bary_tol) & (w2 >= -bary_tol) & (w3 >= -bary_tol)
-    idx = np.nonzero(ok)[0]
-    if idx.size == 0:
-        raise ValueError(f"point {tuple(p)} is outside the mesh")
-    e = idx[0]
-    w = np.clip(np.array([w1[e], w2[e], w3[e]]), 0.0, None)
-    return mesh.elements[e], w / w.sum()
+    idx, w = locate_points(mesh, [point])
+    return idx[0], w[0]
 
 
 def evaluate(u: FemFunction, point) -> float:
@@ -340,12 +457,15 @@ def evaluate(u: FemFunction, point) -> float:
     return float(u.coefficients[idx] @ w)
 
 
-def point_vector(mesh: Mesh, point) -> np.ndarray:
-    """Dense vector p with p_i = phi_i(point) (the delta functional on V_h)."""
-    idx, w = point_evaluation(mesh, point)
-    p = np.zeros(mesh.n_nodes)
-    p[idx] = w
-    return p
+def point_vectors(mesh: Mesh, points) -> np.ndarray:
+    """Dense (n_nodes, p) matrix whose column k is phi_i(points[k]).
+
+    Column k is the delta functional at points[k] on V_h.
+    """
+    idx, w = locate_points(mesh, points)
+    P = np.zeros((mesh.n_nodes, len(idx)))
+    P[idx, np.arange(len(idx))[:, None]] = w
+    return P
 
 
 # -- norms -------------------------------------------------------------------
@@ -368,10 +488,6 @@ def h1_norm(u: FemFunction, K: sp.sparray | None = None, M: sp.sparray | None = 
     c = u.coefficients
     val = c @ (K @ c) + c @ (M @ c)
     return float(np.sqrt(max(val, 0.0)))
-
-
-def l2_norm(u: FemFunction, M: sp.sparray | None = None) -> float:
-    return float(np.sqrt(max(l2_inner(u, u, M=M), 0.0)))
 
 
 # -- quadrature (shared by error measurement and boundary integrals) ---------

@@ -175,33 +175,19 @@ def build_rectangle_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     ys = np.linspace(0.0, ly, ny + 1)
     X, Y = np.meshgrid(xs, ys)  # row iy, column ix
     nodes = np.column_stack([X.ravel(), Y.ravel()])
+    nid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)  # nid[iy, ix]
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
+    # Cells in row-major order (iy outer), two triangles per cell.
+    ll, lr = nid[:-1, :-1].ravel(), nid[:-1, 1:].ravel()
+    ul, ur = nid[1:, :-1].ravel(), nid[1:, 1:].ravel()
+    elements = np.stack([np.column_stack([ll, lr, ur]), np.column_stack([ll, ur, ul])], axis=1)
 
-    elements = []
-    for iy in range(ny):
-        for ix in range(nx):
-            ll, lr = nid(ix, iy), nid(ix + 1, iy)
-            ul, ur = nid(ix, iy + 1), nid(ix + 1, iy + 1)
-            elements.append((ll, lr, ur))
-            elements.append((ll, ur, ul))
+    # Boundary walked counterclockwise: bottom, right, top, left.
+    loop = np.concatenate([nid[0, :], nid[1:, nx], nid[ny, nx - 1::-1], nid[ny - 1::-1, 0]])
+    facets = np.column_stack([loop[:-1], loop[1:]])
+    sides = np.repeat([SIDE_BOTTOM, SIDE_RIGHT, SIDE_TOP, SIDE_LEFT], [nx, ny, nx, ny])
 
-    facets, sides = [], []
-    for ix in range(nx):
-        facets.append((nid(ix, 0), nid(ix + 1, 0)))
-        sides.append(SIDE_BOTTOM)
-    for iy in range(ny):
-        facets.append((nid(nx, iy), nid(nx, iy + 1)))
-        sides.append(SIDE_RIGHT)
-    for ix in range(nx, 0, -1):
-        facets.append((nid(ix, ny), nid(ix - 1, ny)))
-        sides.append(SIDE_TOP)
-    for iy in range(ny, 0, -1):
-        facets.append((nid(0, iy), nid(0, iy - 1)))
-        sides.append(SIDE_LEFT)
-
-    return Mesh(2, nodes, np.array(elements), np.array(facets), np.array(sides))
+    return Mesh(2, nodes, elements.reshape(-1, 3), facets, sides)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -213,45 +199,38 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
 def _refine_1d(mesh: Mesh) -> Mesh:
     n0 = mesh.n_nodes
-    mids = 0.5 * (mesh.nodes[mesh.elements[:, 0]] + mesh.nodes[mesh.elements[:, 1]])
+    i, j = mesh.elements.T
+    mids = 0.5 * (mesh.nodes[i] + mesh.nodes[j])
     nodes = np.vstack([mesh.nodes, mids])
-    elements = []
-    for e, (i, j) in enumerate(mesh.elements):
-        m = n0 + e
-        elements.append((i, m))
-        elements.append((m, j))
-    return Mesh(1, nodes, np.array(elements), mesh.facet_nodes, mesh.facet_sides)
+    m = n0 + np.arange(mesh.n_elements)
+    elements = np.stack([np.column_stack([i, m]), np.column_stack([m, j])], axis=1)
+    return Mesh(1, nodes, elements.reshape(-1, 2), mesh.facet_nodes, mesh.facet_sides)
 
 
 def _refine_2d(mesh: Mesh) -> Mesh:
+    # Midpoints are numbered in the order the edges are first met: per
+    # element ab, bc, ca, then the boundary facets.
     n0 = mesh.n_nodes
-    midpoint: dict = {}
-    new_coords = []
+    a, b, c = mesh.elements.T
+    ends = np.concatenate([np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2), mesh.facet_nodes])
+    lo, hi = np.sort(ends, axis=1).T
+    _, first, inverse = np.unique(lo * n0 + hi, return_index=True, return_inverse=True)
+    met = np.argsort(first)
+    number = np.empty(met.size, dtype=np.int64)
+    number[met] = n0 + np.arange(met.size)
+    mid = number[inverse]
+    i, j = lo[first[met]], hi[first[met]]
+    nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[i] + mesh.nodes[j])])
 
-    def mid(i, j):
-        key = (i, j) if i < j else (j, i)
-        idx = midpoint.get(key)
-        if idx is None:
-            idx = n0 + len(new_coords)
-            midpoint[key] = idx
-            new_coords.append(0.5 * (mesh.nodes[i] + mesh.nodes[j]))
-        return idx
-
-    elements = []
-    for a, b, c in mesh.elements:
-        a, b, c = int(a), int(b), int(c)
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        elements.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
-
-    facets, sides = [], []
-    for (i, j), s in zip(mesh.facet_nodes, mesh.facet_sides):
-        i, j = int(i), int(j)
-        m = mid(i, j)
-        facets.extend([(i, m), (m, j)])
-        sides.extend([s, s])
-
-    nodes = np.vstack([mesh.nodes, np.array(new_coords)])
-    return Mesh(2, nodes, np.array(elements), np.array(facets), np.array(sides))
+    m_el = 3 * mesh.n_elements
+    mab, mbc, mca = mid[:m_el].reshape(-1, 3).T
+    elements = np.stack([np.column_stack([a, mab, mca]), np.column_stack([b, mbc, mab]),
+                         np.column_stack([c, mca, mbc]), np.column_stack([mab, mbc, mca])], axis=1)
+    i, j = mesh.facet_nodes.T
+    m = mid[m_el:]
+    facets = np.stack([np.column_stack([i, m]), np.column_stack([m, j])], axis=1)
+    sides = np.repeat(mesh.facet_sides, 2)
+    return Mesh(2, nodes, elements.reshape(-1, 3), facets.reshape(-1, 2), sides)
 
 
 # -- plain-text mesh files --------------------------------------------------

@@ -25,7 +25,7 @@ from .fem import (
     BoundaryCondition,
     FactorizedSystem,
     FemFunction,
-    point_vector,
+    point_vectors,
 )
 from .mesh import Mesh
 from .noise import GaussianStream, LoadSample, LoadSampler
@@ -67,7 +67,7 @@ class DiscreteSolutionOperator:
         rows: one solve of p columns against the shared factorization.  G is
         column-major, so each point's functional is one contiguous run.
         """
-        P = np.stack([point_vector(self.mesh, p)[self.free] for p in points], axis=1)
+        P = point_vectors(self.mesh, points)[self.free]
         W = np.zeros((self.mesh.n_nodes, P.shape[1]))
         W[self.free] = self.system.solve_free(P)
         return np.asfortranarray(self.sampler.chol.T @ W)
@@ -107,8 +107,7 @@ def exact_discrete_covariance(op: DiscreteSolutionOperator, x, y) -> float:
     Dirichlet boundary points evaluate to 0 because their basis support is
     entirely on eliminated rows.
     """
-    px = point_vector(op.mesh, x)[op.free]
-    py = point_vector(op.mesh, y)[op.free]
+    px, py = point_vectors(op.mesh, [x, y])[op.free].T
     wx = op.system.solve_free(px)
     wy = wx if np.array_equal(px, py) else op.system.solve_free(py)
     # einsum, not a BLAS dot, so the sum order does not depend on the thread count

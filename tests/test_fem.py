@@ -14,16 +14,51 @@ from whitefem.fem import (
     evaluate,
     h1_norm,
     l2_inner,
+    locate_points,
+    nested_dissection,
     neumann,
-    point_vector,
+    point_evaluation,
+    point_vectors,
     robin,
     solve_deterministic,
     sparse_cholesky,
 )
 import whitefem.fem as fem
-from whitefem.mesh import Mesh, build_interval_mesh, build_rectangle_mesh, refine_uniform
+from whitefem.mesh import Mesh, build_interval_mesh, build_rectangle_mesh, read_mesh, refine_uniform
 
 UNIT_TRIANGLE = Mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]], [0, 1, 2])
+
+# An L-shaped polygon: three unit squares, each split along one diagonal.
+_L_SHAPE = """2 8 6 8
+0 0
+1 0
+2 0
+0 1
+1 1
+2 1
+0 2
+1 2
+0 1 4
+0 4 3
+1 2 5
+1 5 4
+3 4 7
+3 7 6
+0 1 0
+1 2 0
+2 5 1
+5 4 2
+4 7 2
+7 6 2
+6 3 3
+3 0 3
+"""
+
+
+def _l_shape(tmp_path):
+    path = tmp_path / "l_shape.txt"
+    path.write_text(_L_SHAPE)
+    return refine_uniform(refine_uniform(read_mesh(path)))
 
 
 class TestAssembly:
@@ -232,6 +267,63 @@ class TestSolve:
             mesh = refine_uniform(mesh)
 
 
+class TestNestedDissectionFactor:
+    @pytest.mark.parametrize("bc", [dirichlet(), neumann()])
+    def test_ordering_is_a_deterministic_permutation(self, bc):
+        m = refine_uniform(build_rectangle_mesh(2.0, 1.0, 12, 7))
+        sysm = FactorizedSystem(m, bc, 1.0)
+        order = nested_dissection(m, sysm.free)
+        assert np.array_equal(np.sort(order), np.arange(sysm.n_free))
+        assert np.array_equal(order, sysm._order)
+        assert np.array_equal(order, nested_dissection(m, sysm.free.copy()))
+
+    @pytest.mark.parametrize("case", ["neumann", "dirichlet", "robin", "interval", "polygon"])
+    def test_solves_match_colamd_lu(self, case, tmp_path):
+        rect = refine_uniform(build_rectangle_mesh(np.pi, 2.0, 9, 6))
+        mesh, bc = {
+            "neumann": (rect, neumann()),
+            "dirichlet": (rect, dirichlet()),
+            "robin": (rect, robin(0.8)),
+            "interval": (build_interval_mesh(0.0, 2.0, 150), robin(1.5)),
+            "polygon": (_l_shape(tmp_path), dirichlet()),
+        }[case]
+        sysm = FactorizedSystem(mesh, bc, 0.9)
+        colamd = splu(sp.csc_matrix(sysm.A), permc_spec="COLAMD")
+        rng = np.random.default_rng(12)
+        for b in (rng.standard_normal(sysm.n_free), rng.standard_normal((sysm.n_free, 40))):
+            x, ref = sysm.solve_free(b), colamd.solve(b)
+            assert x.shape == ref.shape
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("permc_spec", ["NATURAL", "MMD_AT_PLUS_A"])
+    def test_rejects_off_diagonal_pivot(self, permc_spec):
+        A = sp.csc_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="not SPD"):
+            fem._symmetric_splu(A, permc_spec)
+
+    def test_fill_below_colamd(self):
+        m = refine_uniform(refine_uniform(build_rectangle_mesh(np.pi, np.pi, 32, 32)))
+        assert m.n_nodes == 16_641
+        sysm = FactorizedSystem(m, robin(0.8), 1.0)
+        colamd = splu(sp.csc_matrix(sysm.A), permc_spec="COLAMD")
+        nnz = sysm._lu.L.nnz + sysm._lu.U.nnz
+        assert nnz < 0.8 * (colamd.L.nnz + colamd.U.nnz)
+
+    @pytest.mark.parametrize("width", [2, 32, 33, 64, 65, 100])
+    def test_chunked_solve_is_bitwise_one_block_solve(self, width):
+        # Below 128 columns the blocked solve has the bits of one solve over
+        # all columns; wider solves are blocked differently inside the BLAS
+        # that SuperLU calls, and their last bits move.
+        m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 12, 12))
+        sysm = FactorizedSystem(m, dirichlet(), 0.7)
+        B = np.random.default_rng(width).standard_normal((sysm.n_free, width))
+        whole = np.empty(B.shape)
+        whole[sysm._order] = sysm._lu.solve(B[sysm._order])
+        X = sysm.solve_free(B)
+        assert np.array_equal(X, whole)
+        assert np.array_equal(sysm.solve_free(B[:, 0]), sysm.solve_free(B[:, :1])[:, 0])
+
+
 class TestEvaluate:
     def test_nodal_value_exact(self):
         m = build_rectangle_mesh(1.0, 1.0, 3, 3)
@@ -259,9 +351,73 @@ class TestEvaluate:
 
     def test_point_vector_partition_of_unity(self):
         m = build_rectangle_mesh(1.0, 1.0, 4, 4)
-        p = point_vector(m, (0.33, 0.71))
+        p = point_vectors(m, [(0.33, 0.71)])[:, 0]
         assert p.sum() == pytest.approx(1.0)
         assert (p >= 0).all()
+
+
+def _point_evaluation_loop(mesh, point):
+    """Reference: locate one point by scanning every element from scratch."""
+    p = np.atleast_1d(np.asarray(point, dtype=np.float64))
+    tol = 1e-12 * max(mesh.h, 1.0)
+    pts = mesh.nodes[mesh.elements]
+    if mesh.dim == 1:
+        x = p[0]
+        left, right = pts[:, 0, 0], pts[:, 1, 0]
+        e = np.nonzero((x >= left - tol) & (x <= right + tol))[0][0]
+        t = min(max((x - left[e]) / (right[e] - left[e]), 0.0), 1.0)
+        return mesh.elements[e], np.array([1.0 - t, t])
+    a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
+    w1 = ((b[:, 0] - p[0]) * (c[:, 1] - p[1]) - (c[:, 0] - p[0]) * (b[:, 1] - p[1])) / det
+    w2 = ((c[:, 0] - p[0]) * (a[:, 1] - p[1]) - (a[:, 0] - p[0]) * (c[:, 1] - p[1])) / det
+    w3 = 1.0 - w1 - w2
+    bary_tol = tol / max(np.sqrt(np.abs(det).min()), tol)
+    e = np.nonzero((w1 >= -bary_tol) & (w2 >= -bary_tol) & (w3 >= -bary_tol))[0][0]
+    w = np.clip(np.array([w1[e], w2[e], w3[e]]), 0.0, None)
+    return mesh.elements[e], w / w.sum()
+
+
+class TestLocatePoints:
+    @pytest.mark.parametrize("mesh", ["rectangle", "interval", "polygon"])
+    def test_batch_is_bitwise_the_one_point_scan(self, mesh, tmp_path):
+        mesh = {
+            "rectangle": lambda: refine_uniform(build_rectangle_mesh(np.pi, 2.0, 7, 5)),
+            "interval": lambda: build_interval_mesh(-1.0, 2.0, 13),
+            "polygon": lambda: _l_shape(tmp_path),
+        }[mesh]()
+        rng = np.random.default_rng(4)
+        e0 = mesh.nodes[mesh.elements[0]]
+        points = (
+            [mesh.nodes[i] for i in (0, 1, mesh.n_nodes // 2, mesh.n_nodes - 1)]  # vertices
+            + [0.5 * (e0[0] + e0[1]), 0.3 * e0[0] + 0.7 * e0[-1]]  # on element edges
+            + [mesh.nodes[mesh.facet_nodes[k]].mean(axis=0) for k in (0, -1)]  # boundary
+            + [mesh.nodes[mesh.elements[k]].mean(axis=0) for k in rng.integers(mesh.n_elements, size=5)]
+        )
+        idx, w = locate_points(mesh, points)
+        assert idx.shape == w.shape == (len(points), mesh.dim + 1)
+        for k, p in enumerate(points):
+            ref_idx, ref_w = _point_evaluation_loop(mesh, p)
+            one_idx, one_w = point_evaluation(mesh, p)
+            assert np.array_equal(idx[k], ref_idx) and np.array_equal(one_idx, ref_idx)
+            assert w[k].tobytes() == ref_w.tobytes() == one_w.tobytes()
+
+    def test_first_outside_point_is_reported(self):
+        m = build_rectangle_mesh(1.0, 1.0, 2, 2)
+        with pytest.raises(ValueError, match=r"point \(.*1\.5.*\) is outside the mesh"):
+            locate_points(m, [(0.5, 0.5), (1.5, 0.5), (2.5, 0.5)])
+        with pytest.raises(ValueError, match="outside the mesh"):
+            locate_points(build_interval_mesh(0.0, 1.0, 3), [0.5, 1.5])
+
+    def test_point_vectors_scatter_the_weights(self):
+        m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 3, 3))
+        points = [(0.1, 0.2), (0.5, 0.5), (1.0, 0.0)]
+        P = point_vectors(m, points)
+        for k, p in enumerate(points):
+            idx, w = point_evaluation(m, p)
+            expected = np.zeros(m.n_nodes)
+            expected[idx] = w
+            assert np.array_equal(P[:, k], expected)
 
 
 class TestNorms:

@@ -185,3 +185,105 @@ def test_read_mesh_rejects_garbage(tmp_path):
     path.write_text("2 1 0\n")
     with pytest.raises(ValueError):
         read_mesh(path)
+
+
+# -- loop references for the vectorized generators ---------------------------
+
+
+def _rectangle_loop(lx, ly, nx, ny):
+    xs, ys = np.linspace(0.0, lx, nx + 1), np.linspace(0.0, ly, ny + 1)
+    X, Y = np.meshgrid(xs, ys)
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+
+    def nid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    elements = []
+    for iy in range(ny):
+        for ix in range(nx):
+            ll, lr, ul, ur = nid(ix, iy), nid(ix + 1, iy), nid(ix, iy + 1), nid(ix + 1, iy + 1)
+            elements += [(ll, lr, ur), (ll, ur, ul)]
+    facets = [(nid(ix, 0), nid(ix + 1, 0)) for ix in range(nx)]
+    facets += [(nid(nx, iy), nid(nx, iy + 1)) for iy in range(ny)]
+    facets += [(nid(ix, ny), nid(ix - 1, ny)) for ix in range(nx, 0, -1)]
+    facets += [(nid(0, iy), nid(0, iy - 1)) for iy in range(ny, 0, -1)]
+    sides = [0] * nx + [1] * ny + [2] * nx + [3] * ny
+    return Mesh(2, nodes, np.array(elements), np.array(facets), np.array(sides))
+
+
+def _refine_loop(mesh):
+    n0 = mesh.n_nodes
+    if mesh.dim == 1:
+        mids = 0.5 * (mesh.nodes[mesh.elements[:, 0]] + mesh.nodes[mesh.elements[:, 1]])
+        elements = []
+        for e, (i, j) in enumerate(mesh.elements):
+            elements += [(i, n0 + e), (n0 + e, j)]
+        return Mesh(1, np.vstack([mesh.nodes, mids]), np.array(elements), mesh.facet_nodes,
+                    mesh.facet_sides)
+    midpoint, coords = {}, []
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midpoint:
+            midpoint[key] = n0 + len(coords)
+            coords.append(0.5 * (mesh.nodes[i] + mesh.nodes[j]))
+        return midpoint[key]
+
+    elements = []
+    for a, b, c in mesh.elements.tolist():
+        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+        elements += [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
+    facets, sides = [], []
+    for (i, j), s in zip(mesh.facet_nodes.tolist(), mesh.facet_sides.tolist()):
+        m = mid(i, j)
+        facets += [(i, m), (m, j)]
+        sides += [s, s]
+    return Mesh(2, np.vstack([mesh.nodes, coords]), np.array(elements), np.array(facets),
+                np.array(sides))
+
+
+def _assert_same_mesh(a, b):
+    for name in ("nodes", "elements", "facet_nodes", "facet_sides"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), name
+
+
+_PENTAGON = """2 6 5 5
+0 0
+1 0
+1.5 0.8
+0.5 1.4
+-0.5 0.8
+0.4 0.6
+0 1 5
+1 2 5
+2 3 5
+3 4 5
+4 0 5
+0 1 0
+1 2 1
+2 3 2
+3 4 3
+4 0 4
+"""
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (5, 2), (8, 8)])
+def test_rectangle_matches_loop_reference(nx, ny):
+    _assert_same_mesh(build_rectangle_mesh(np.pi, np.e, nx, ny), _rectangle_loop(np.pi, np.e, nx, ny))
+
+
+@pytest.mark.parametrize("mesh", ["rectangle", "interval", "polygon"])
+def test_refinement_matches_loop_reference(mesh, tmp_path):
+    path = tmp_path / "pentagon.txt"
+    path.write_text(_PENTAGON)
+    mesh = {
+        "rectangle": lambda: build_rectangle_mesh(np.pi, 2.0, 5, 3),
+        "interval": lambda: build_interval_mesh(-1.0, np.e, 5),
+        "polygon": lambda: read_mesh(path),
+    }[mesh]()
+    fast = slow = mesh
+    for _ in range(3):
+        fast, slow = refine_uniform(fast), _refine_loop(slow)
+        _assert_same_mesh(fast, slow)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whitefem.fem import dirichlet, evaluate, neumann, point_vector, robin
+from whitefem.fem import dirichlet, evaluate, neumann, point_vectors, robin
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
 from whitefem.noise import GaussianStream
 from whitefem.sampling import (
@@ -122,7 +122,7 @@ class TestMonteCarloMoments:
 
         B = op.sampler.sample_batch(GaussianStream(19, 2), n)
         C = op.system.solve_free(B[op.free])
-        P = np.stack([point_vector(mesh, p)[op.free] for p in points])
+        P = point_vectors(mesh, points)[op.free].T
         values = (P @ C).T
         mean = values.mean(axis=0)
         cov = np.cov(values, rowvar=False)
