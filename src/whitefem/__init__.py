@@ -33,14 +33,13 @@ from .spectral import (
     greens_function_1d,
     sobolev_norm,
 )
-from .noise import GaussianStream, LoadSample, LoadSampler, sample_load_vector, sample_spectral_truncation, white_noise_functional
+from .noise import GaussianStream, LoadSample, LoadSampler, sample_spectral_truncation, white_noise_functional
 from .sampling import (
     DiscreteSolutionOperator,
     MomentReport,
+    exact_covariances,
     exact_discrete_covariance,
     monte_carlo_moments,
-    pointwise_variance_field,
-    sample_path,
     sample_path_with_load,
 )
 from .boundary import (

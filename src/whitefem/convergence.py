@@ -25,7 +25,7 @@ from .fem import (
     ROBIN,
 )
 from .mesh import Mesh
-from .sampling import DiscreteSolutionOperator, exact_discrete_covariance
+from .sampling import DiscreteSolutionOperator, exact_covariances
 from .spectral import (
     EigenBasis,
     IntervalEigenBasis,
@@ -345,23 +345,24 @@ class HolderFit(NamedTuple):
 def holder_modulus(op: DiscreteSolutionOperator, pairs: Sequence[tuple]) -> HolderFit:
     """Fit E|X_h(x) - X_h(y)|^2 ~ C |x-y|^(2 alpha) over point pairs.
 
-    The second moments are exact (three covariance evaluations per pair), so
-    the only fitting noise is deviation from the power law itself.
+    The second moments are exact (one covariance matrix over all pair
+    points, from one probe solve), so the only fitting noise is deviation
+    from the power law itself.
     """
     if len(pairs) < 5:
         raise ValueError(f"need at least 5 point pairs, got {len(pairs)}")
-    seps, moments = [], []
+    points, seps = [], []
     for x, y in pairs:
         ax = np.atleast_1d(np.asarray(x, dtype=np.float64))
         ay = np.atleast_1d(np.asarray(y, dtype=np.float64))
         dist = float(np.linalg.norm(ax - ay))
         if dist == 0.0:
             raise ValueError(f"coincident pair {tuple(ax)}")
-        cxx = exact_discrete_covariance(op, ax, ax)
-        cyy = exact_discrete_covariance(op, ay, ay)
-        cxy = exact_discrete_covariance(op, ax, ay)
+        points += [ax, ay]
         seps.append(dist)
-        moments.append(max(cxx - 2.0 * cxy + cyy, 1e-300))
+    C = exact_covariances(op, points)
+    x, y = np.arange(0, len(points), 2), np.arange(1, len(points), 2)
+    moments = np.maximum(C[x, x] - 2.0 * C[x, y] + C[y, y], 1e-300)
     seps = np.array(seps)
     if seps.max() / seps.min() < 10.0:
         raise ValueError("pairs must span at least a decade of separations")

@@ -10,6 +10,7 @@ supported through the plain-text file format of :func:`read_mesh`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +72,9 @@ class Mesh:
     def n_facets(self) -> int:
         return self.facet_nodes.shape[0]
 
-    @property
+    @cached_property
     def h(self) -> float:
-        """Maximum element diameter, recomputed from coordinates."""
+        """Maximum element diameter, computed once: the coordinates are frozen."""
         pts = self.nodes[self.elements]
         if self.dim == 1:
             return float(np.abs(pts[:, 1, 0] - pts[:, 0, 0]).max())

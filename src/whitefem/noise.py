@@ -31,6 +31,22 @@ _MASK64 = (1 << 64) - 1
 _OUTPUTS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter tick
 
 
+def _normals_from_raw(raw: np.ndarray) -> np.ndarray:
+    """Standard normals from raw 64-bit words, by ndtri of their top 53 bits.
+
+    The word's top 53 bits m map to u = (m + 1/2) 2^-53, which rounds to
+    exactly 1.0 for m = 2^53 - 1 alone; that u is clamped to the largest
+    double below 1 so ndtri stays finite.  No other value changes.  Every
+    step after the shift works in place on one float array; raw is consumed.
+    """
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+    return ndtri(u, out=u)
+
+
 @dataclass
 class GaussianStream:
     """Seeded, substream-indexed source of i.i.d. standard normals.
@@ -55,14 +71,8 @@ class GaussianStream:
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         ctr = np.array([block, 0, 0, 0], dtype=np.uint64)
         raw = np.random.Philox(key=key, counter=ctr).random_raw(offset + n)[offset:]
-        # Top 53 bits to (0, 1), strictly inside so ndtri stays finite.  Every
-        # step after the shift works in place on one float array.
-        raw >>= np.uint64(11)
-        u = raw.astype(np.float64)
-        u += 0.5
-        u *= 2.0**-53
         self.counter += n
-        return ndtri(u, out=u)
+        return _normals_from_raw(raw)
 
     def substream(self, offset: int) -> "GaussianStream":
         """Fresh stream with stream_id shifted by offset (counter reset)."""
@@ -112,14 +122,6 @@ class LoadSampler:
         """Load with injected coordinates (testing hook for zero/scaled noise)."""
         return LoadSample(self.mesh, self.chol @ np.asarray(z, dtype=np.float64),
                           stream.seed, stream.stream_id)
-
-
-def sample_load_vector(mesh: Mesh, M: sp.sparray, stream: GaussianStream) -> LoadSample:
-    """One white-noise load on V_h: zero mean, covariance exactly M.
-
-    Build a LoadSampler instead to reuse the Cholesky factor across draws.
-    """
-    return LoadSampler(mesh, M).sample(stream)
 
 
 def sample_spectral_truncation(basis: EigenBasis, m: int, stream: GaussianStream) -> SpectralField:

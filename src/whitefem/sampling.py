@@ -3,21 +3,23 @@
 A sampled path is X_h = A^{-1} b with b = F z the white-noise load: on V_h
 the measurable-extension series collapses to exact finite linear algebra, so
 no mode truncation enters a path.  Second moments also have closed discrete
-forms (two backsolves against the shared factorization per covariance entry);
-Monte Carlo is kept alongside as an independent check, never as the primary
-route where the formula exists.
+forms: with W = A^{-1} P^T for the point vectors P, the covariances at all
+probe points are W^T M W.  Monte Carlo is kept alongside as an independent
+check, never as the primary route where the formula exists.
 
 A path's value at a point x is a fixed linear functional of its normals,
 X_h(x) = p(x)^T A^{-1} F z = g_x^T z with g_x = F^T A^{-1} p(x).  Monte Carlo
-at probe points therefore solves once for the functionals g_x and then costs
-one contraction per path, with no load vector and no solve.  The functionals
-use the load factor F, never M, so the check against the closed form
-p^T A^{-1} M A^{-1} p still tests F F^T = M.
+at probe points therefore uses the functionals G = F^T W and then costs one
+contraction per path, with no load vector and no solve.  The functionals use
+the load factor F, never M, so the check against the closed form W^T M W
+still tests F F^T = M.  Both come from one probe of the point set
+(DiscreteSolutionOperator.probe).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +33,22 @@ from .mesh import Mesh
 from .noise import GaussianStream, LoadSample, LoadSampler
 
 _PROBE_TOL = 1e-10
-# Paths per generation batch.  Fixed (never derived from worker counts) so
-# that moment reductions group identically in every run.
-_BATCH = 256
+# Paths per generation batch: small enough that a batch's normals are still
+# in cache when they are contracted.  Each path's values do not depend on the
+# batch size, and the reductions run over all paths at once.
+_BATCH = 16
+
+
+class Probe(NamedTuple):
+    """Solved point functionals of one point set, both read-only.
+
+    W (n_free, p) is A^{-1} P^T on the free nodes; G (n_nodes, p) is F^T W
+    with W extended by zeros on the Dirichlet nodes, column-major so that
+    each point's functional is one contiguous run.
+    """
+
+    W: np.ndarray
+    G: np.ndarray
 
 
 class DiscreteSolutionOperator:
@@ -47,9 +62,10 @@ class DiscreteSolutionOperator:
         self.K, self.M, self.R = self.system.K, self.system.M, self.system.R
         self.sampler = LoadSampler(mesh, self.M)
         self.M_free = self.system.restrict(self.M).tocsr()
-        self._probe()
+        self._last_probe = None
+        self._check_factorization()
 
-    def _probe(self):
+    def _check_factorization(self):
         probe = GaussianStream(0, 0).normals(self.system.n_free)
         sol = self.system.solve_free(probe)
         res = self.system.residual(sol, probe)
@@ -60,17 +76,33 @@ class DiscreteSolutionOperator:
     def free(self) -> np.ndarray:
         return self.system.free
 
-    def point_functionals(self, points) -> np.ndarray:
-        """G (n_nodes, p) with X_h(x_k) = z @ G[:, k] for the path of normals z.
+    def probe(self, points) -> Probe:
+        """W = A^{-1} P^T and G = F^T W for a point set, from one block solve.
 
-        G = F^T W, where W = A^{-1} P^T on the free nodes and 0 on Dirichlet
-        rows: one solve of p columns against the shared factorization.  G is
-        column-major, so each point's functional is one contiguous run.
+        The points are located once and the p columns are solved together.
+        The last point set's result is kept, keyed by the shape and bytes of
+        the stacked points; the operator is immutable, so the entry never goes
+        stale, and a repeated call returns the same read-only arrays.
         """
-        P = point_vectors(self.mesh, points)[self.free]
+        pts = np.stack([np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in points])
+        key = (pts.shape, pts.tobytes())
+        last = self._last_probe
+        if last is not None and last[0] == key:
+            return last[1]
+        P = point_vectors(self.mesh, pts)[self.free]
+        W_free = self.system.solve_free(P)
         W = np.zeros((self.mesh.n_nodes, P.shape[1]))
-        W[self.free] = self.system.solve_free(P)
-        return np.asfortranarray(self.sampler.chol.T @ W)
+        W[self.free] = W_free
+        G = np.asfortranarray(self.sampler.chol.T @ W)
+        W_free.setflags(write=False)
+        G.setflags(write=False)
+        result = Probe(W_free, G)
+        self._last_probe = (key, result)
+        return result
+
+    def point_functionals(self, points) -> np.ndarray:
+        """G (n_nodes, p) with X_h(x_k) = z @ G[:, k] for the path of normals z."""
+        return self.probe(points).G
 
     def path_from_load(self, load: LoadSample) -> FemFunction:
         return FemFunction(self.mesh, self.system.solve(load.b))
@@ -79,11 +111,6 @@ class DiscreteSolutionOperator:
         """Path for injected noise coordinates (exactly linear in z)."""
         load = self.sampler.from_normals(z, GaussianStream(0, 0))
         return self.path_from_load(load)
-
-
-def sample_path(op: DiscreteSolutionOperator, stream: GaussianStream) -> FemFunction:
-    """One realization X_h = A^{-1} b; advances the stream by node count."""
-    return op.path_from_load(op.sampler.sample(stream))
 
 
 def sample_path_with_load(op: DiscreteSolutionOperator, stream: GaussianStream):
@@ -101,35 +128,21 @@ def point_values(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.einsum("pn,kn->pk", Z, G.T)
 
 
-def exact_discrete_covariance(op: DiscreteSolutionOperator, x, y) -> float:
-    """Cov(X_h(x), X_h(y)) = p(x)^T A^{-1} M A^{-1} p(y), exactly.
+def exact_covariances(op: DiscreteSolutionOperator, points) -> np.ndarray:
+    """Cov(X_h(x_i), X_h(x_j)) = (W^T M W)_ij for W = A^{-1} P^T, exactly.
 
-    Dirichlet boundary points evaluate to 0 because their basis support is
-    entirely on eliminated rows.
+    Entry (i, j) is W[:, i] . (M W)[:, j], summed by einsum's own loops, not
+    a BLAS product, so the sum order does not depend on the thread count.
+    Dirichlet boundary points give 0 rows and columns because their basis
+    support is entirely on eliminated rows.
     """
-    px, py = point_vectors(op.mesh, [x, y])[op.free].T
-    wx = op.system.solve_free(px)
-    wy = wx if np.array_equal(px, py) else op.system.solve_free(py)
-    # einsum, not a BLAS dot, so the sum order does not depend on the thread count
-    return float(np.einsum("i,i->", wx, op.M_free @ wy))
+    W = op.probe(points).W
+    return np.einsum("ni,nj->ij", W, op.M_free @ W)
 
 
-def pointwise_variance_field(op: DiscreteSolutionOperator, chunk: int = 512) -> FemFunction:
-    """Nodal variances diag(A^{-1} M A^{-1}), by column-block backsolves."""
-    n = op.system.n_free
-    var_free = np.empty(n)
-    eye_block = np.zeros((n, min(chunk, n)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        width = stop - start
-        block = eye_block[:, :width]
-        block[:] = 0.0
-        block[np.arange(start, stop), np.arange(width)] = 1.0
-        W = op.system.solve_free(block)
-        var_free[start:stop] = np.einsum("ij,ij->j", W, op.M_free @ W)
-    values = np.zeros(op.mesh.n_nodes)
-    values[op.free] = var_free
-    return FemFunction(op.mesh, values)
+def exact_discrete_covariance(op: DiscreteSolutionOperator, x, y) -> float:
+    """Cov(X_h(x), X_h(y)): the two-point case of exact_covariances."""
+    return float(exact_covariances(op, [x, y])[0, 1])
 
 
 @dataclass(frozen=True)
@@ -151,11 +164,11 @@ def monte_carlo_moments(
 ) -> MomentReport:
     """Sample moments of X_h at evaluation points over n independent paths.
 
-    Path k takes the k-th run of n_nodes normals of the stream, drawn in
-    fixed-size batches, and its values are its normals contracted with the
-    point functionals.  All reductions run over the stored path-major array,
-    so results do not depend on scheduling.  Standard errors use the Gaussian
-    moment formulas.
+    Path k takes the k-th run of n_nodes normals of the stream.  Normals are
+    drawn _BATCH paths at a time and contracted with the point functionals
+    while they are still in cache.  All reductions run over the stored
+    path-major array, so results do not depend on scheduling.  Standard
+    errors use the Gaussian moment formulas.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
@@ -163,12 +176,10 @@ def monte_carlo_moments(
     G = op.point_functionals(pts)
     n_nodes = op.mesh.n_nodes
     values = np.empty((n, len(pts)))
-    done = 0
-    while done < n:
-        count = min(_BATCH, n - done)
+    for start in range(0, n, _BATCH):
+        count = min(_BATCH, n - start)
         Z = stream.normals(count * n_nodes).reshape(count, n_nodes)
-        values[done : done + count] = point_values(Z, G)
-        done += count
+        values[start : start + count] = point_values(Z, G)
     mean = values.sum(axis=0) / n
     centered = values - mean
     p = len(pts)

@@ -17,14 +17,14 @@ from whitefem.convergence import (
     hs_embedding_bound,
     truncation_error_closed_form,
 )
-from whitefem.fem import dirichlet, evaluate, neumann, robin
+from whitefem.fem import dirichlet, neumann, robin
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
 from whitefem.noise import GaussianStream, LoadSampler
 from whitefem.sampling import (
     DiscreteSolutionOperator,
+    exact_covariances,
     exact_discrete_covariance,
     monte_carlo_moments,
-    pointwise_variance_field,
     sample_path_with_load,
 )
 from whitefem.spectral import (
@@ -85,9 +85,8 @@ def test_criterion_02_discrete_covariance_vs_monte_carlo():
 def test_criterion_03_continuum_covariance_convergence():
     mesh = build_rectangle_mesh(PI, PI, 64, 64)  # grid spacing pi / 64
     op = DiscreteSolutionOperator(mesh, neumann(), 1.0)
-    field = pointwise_variance_field(op)
     center = (PI / 2, PI / 2)
-    fem_var = evaluate(field, center)
+    fem_var = float(exact_covariances(op, [center])[0, 0])
 
     count = 5_500_000
     oracle = None

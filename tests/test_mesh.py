@@ -75,6 +75,21 @@ def test_refine_rectangle_counts_and_h():
     assert finer.n_elements == 128
 
 
+@pytest.mark.parametrize(
+    "mesh",
+    [refine_uniform(build_rectangle_mesh(np.pi, 2.0, 3, 5)),
+     refine_uniform(build_interval_mesh(-1.0, 2.5, 7))],
+    ids=["refined-rectangle", "interval"],
+)
+def test_h_is_cached_and_equals_the_max_element_diameter(mesh):
+    pts = mesh.nodes[mesh.elements]
+    edges = [pts[:, (i + 1) % (mesh.dim + 1)] - pts[:, i] for i in range(mesh.dim + 1)]
+    expected = max(float(np.linalg.norm(e, axis=1).max()) for e in edges)
+    assert mesh.h == expected
+    assert mesh.__dict__["h"] == expected
+    assert mesh.h is mesh.h
+
+
 def test_refine_preserves_area():
     m = build_rectangle_mesh(np.pi, np.pi, 4, 4)
     for _ in range(2):

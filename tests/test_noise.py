@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from whitefem.fem import FemFunction, assemble_mass
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, read_mesh, refine_uniform
 from whitefem.noise import (
     GaussianStream,
+    _normals_from_raw,
     LoadSampler,
-    sample_load_vector,
     sample_spectral_truncation,
     white_noise_functional,
 )
@@ -55,6 +56,15 @@ class TestGaussianStream:
         assert abs(z.mean()) < 4.0 / np.sqrt(200_000)
         assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / 200_000)
 
+    def test_top_raw_word_gives_a_finite_normal(self):
+        # top 53 bits all ones: (m + 1/2) 2^-53 rounds to 1.0, clamped below 1
+        raw = np.array([2**64 - 1, 2**64 - 2**11 - 1], dtype=np.uint64)
+        z = _normals_from_raw(raw)
+        assert np.isfinite(z).all()
+        assert z[0] == ndtri(np.nextafter(1.0, 0.0))
+        assert z[1] == pytest.approx(8.126, abs=1e-3)
+        assert z[0] > z[1]
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             GaussianStream(0, 0).normals(-1)
@@ -64,8 +74,8 @@ class TestLoadSampling:
     def test_determinism_contract(self):
         m = build_rectangle_mesh(1.0, 1.0, 3, 3)
         M = assemble_mass(m)
-        s1 = sample_load_vector(m, M, GaussianStream(42, 0))
-        s2 = sample_load_vector(m, M, GaussianStream(42, 0))
+        s1 = LoadSampler(m, M).sample(GaussianStream(42, 0))
+        s2 = LoadSampler(m, M).sample(GaussianStream(42, 0))
         assert np.array_equal(s1.b, s2.b)
         assert (s1.seed, s1.stream_id) == (42, 0)
 
@@ -82,7 +92,7 @@ class TestLoadSampling:
     def test_stream_advances_by_node_count(self):
         m = build_interval_mesh(0, 1, 8)
         stream = GaussianStream(1, 0)
-        sample_load_vector(m, assemble_mass(m), stream)
+        LoadSampler(m, assemble_mass(m)).sample(stream)
         assert stream.counter == 9
 
     def test_zero_mean(self):
@@ -209,7 +219,7 @@ class TestSpectralTruncation:
 class TestWhiteNoiseFunctional:
     def test_zero_test_function(self):
         m = build_interval_mesh(0, 1, 4)
-        sample = sample_load_vector(m, assemble_mass(m), GaussianStream(0, 0))
+        sample = LoadSampler(m, assemble_mass(m)).sample(GaussianStream(0, 0))
         phi = FemFunction(m, np.zeros(5))
         assert white_noise_functional(phi, sample) == 0.0
 
@@ -228,7 +238,7 @@ class TestWhiteNoiseFunctional:
 
     def test_bilinearity_exact_per_sample(self):
         m = build_interval_mesh(0, 2, 6)
-        sample = sample_load_vector(m, assemble_mass(m), GaussianStream(5, 0))
+        sample = LoadSampler(m, assemble_mass(m)).sample(GaussianStream(5, 0))
         rng = np.random.default_rng(0)
         u = FemFunction(m, rng.standard_normal(7))
         v = FemFunction(m, rng.standard_normal(7))

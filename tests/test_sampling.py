@@ -1,18 +1,28 @@
 import numpy as np
 import pytest
 
-from whitefem.fem import dirichlet, evaluate, neumann, point_vectors, robin
+import whitefem.fem as fem
+from whitefem.convergence import holder_modulus
+from whitefem.fem import dirichlet, neumann, point_vectors, robin
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
-from whitefem.noise import GaussianStream
+from whitefem.noise import GaussianStream, LoadSampler
 from whitefem.sampling import (
     DiscreteSolutionOperator,
+    exact_covariances,
     exact_discrete_covariance,
     monte_carlo_moments,
-    pointwise_variance_field,
-    sample_path,
+    point_values,
     sample_path_with_load,
 )
-from whitefem.spectral import Rectangle, covariance_function, eigenpairs
+
+
+CASES = [
+    (build_rectangle_mesh(np.pi, np.pi, 6, 5), neumann(), [(0.4, 0.9), (1.7, 2.2), (3.0, 0.1)]),
+    (build_rectangle_mesh(1.0, 1.0, 5, 6), dirichlet(), [(0.3, 0.4), (0.75, 0.6), (0.0, 0.5)]),
+    (build_rectangle_mesh(2.0, 1.0, 6, 4), robin(0.8), [(0.2, 0.3), (1.1, 0.9), (1.9, 0.05)]),
+    (build_interval_mesh(0.0, np.pi, 23), dirichlet(), [(0.3,), (1.7,), (2.9,)]),
+]
+CASE_IDS = ["neumann", "dirichlet", "robin", "interval-dirichlet"]
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +37,9 @@ class TestSamplePath:
         assert np.array_equal(path.coefficients, np.zeros(neumann_op.mesh.n_nodes))
 
     def test_fixed_seed_reproducible(self, neumann_op):
-        a = sample_path(neumann_op, GaussianStream(42, 0))
-        b = sample_path(neumann_op, GaussianStream(42, 0))
+        mesh, M = neumann_op.mesh, neumann_op.M
+        a = neumann_op.path_from_load(LoadSampler(mesh, M).sample(GaussianStream(42, 0)))
+        b = neumann_op.path_from_load(LoadSampler(mesh, M).sample(GaussianStream(42, 0)))
         assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_linear_in_noise(self, neumann_op):
@@ -99,19 +110,7 @@ class TestMonteCarloMoments:
         assert rep.seed == 42
         assert rep.stream_id == 7
 
-    @pytest.mark.parametrize(
-        "mesh, bc, points",
-        [
-            (build_rectangle_mesh(np.pi, np.pi, 6, 5), neumann(),
-             [(0.4, 0.9), (1.7, 2.2), (3.0, 0.1)]),
-            (build_rectangle_mesh(1.0, 1.0, 5, 6), dirichlet(),
-             [(0.3, 0.4), (0.75, 0.6), (0.0, 0.5)]),
-            (build_rectangle_mesh(2.0, 1.0, 6, 4), robin(0.8),
-             [(0.2, 0.3), (1.1, 0.9), (1.9, 0.05)]),
-            (build_interval_mesh(0.0, np.pi, 23), dirichlet(), [(0.3,), (1.7,), (2.9,)]),
-        ],
-        ids=["neumann", "dirichlet", "robin", "interval-dirichlet"],
-    )
+    @pytest.mark.parametrize("mesh, bc, points", CASES, ids=CASE_IDS)
     def test_functional_route_matches_load_and_solve(self, mesh, bc, points):
         # the same paths through the load b = L z and a solve per path
         op = DiscreteSolutionOperator(mesh, bc, 1.3)
@@ -129,35 +128,6 @@ class TestMonteCarloMoments:
         scale = np.diag(cov).max()
         np.testing.assert_allclose(rep.mean, mean, rtol=1e-12, atol=1e-12 * np.sqrt(scale))
         np.testing.assert_allclose(rep.covariance, cov, rtol=1e-12, atol=1e-12 * scale)
-
-
-class TestVarianceField:
-    def test_dirichlet_boundary_zero_and_nonnegative(self):
-        mesh = build_rectangle_mesh(1.0, 1.0, 4, 4)
-        op = DiscreteSolutionOperator(mesh, dirichlet(), 1.0)
-        vf = pointwise_variance_field(op)
-        assert np.array_equal(vf.coefficients[mesh.boundary_nodes()], np.zeros(16))
-        assert (vf.coefficients >= 0).all()
-
-    def test_matches_exact_covariance_at_nodes(self, neumann_op):
-        vf = pointwise_variance_field(neumann_op)
-        node = 4 * 9 + 4  # interior grid node
-        x = neumann_op.mesh.nodes[node]
-        assert vf.coefficients[node] == pytest.approx(
-            exact_discrete_covariance(neumann_op, x, x), rel=1e-10
-        )
-
-    def test_converges_to_spectral_variance(self):
-        # center-point variance against the exact spectral sum, mid resolution
-        mesh = build_rectangle_mesh(np.pi, np.pi, 32, 32)
-        op = DiscreteSolutionOperator(mesh, neumann(), 1.0)
-        vf = pointwise_variance_field(op)
-        center = (np.pi / 2.0, np.pi / 2.0)
-        basis = eigenpairs(Rectangle(np.pi, np.pi), neumann(), 400_000)
-        oracle = covariance_function(center, center, 1.0, basis)
-        assert oracle.tail_bound < 1e-4 * oracle.value
-        got = evaluate(vf, center)
-        assert got == pytest.approx(oracle.value, rel=0.02)
 
 
 class TestGalerkinIdentities:
@@ -209,3 +179,113 @@ def test_dirichlet_operator_reduces_to_interior():
     assert op.system.n_free == 3
     op_full = DiscreteSolutionOperator(mesh, neumann(), 1.0)
     assert op_full.system.n_free == 5
+
+
+def one_batch_moments(op, points, n, stream):
+    # all n paths' normals drawn at once and contracted in one einsum
+    G = op.point_functionals(points)
+    Z = stream.normals(n * op.mesh.n_nodes).reshape(n, op.mesh.n_nodes)
+    values = point_values(Z, G)
+    mean = values.sum(axis=0) / n
+    centered = values - mean
+    p = len(points)
+    cov = np.empty((p, p))
+    for i in range(p):
+        for j in range(i, p):
+            cov[i, j] = cov[j, i] = np.sum(centered[:, i] * centered[:, j]) / (n - 1)
+    return mean, cov
+
+
+def written_out_covariances(op, points):
+    # p(x)^T A^{-1} M A^{-1} p(y) with dense matrices on the free nodes
+    P = point_vectors(op.mesh, points)[op.free]
+    A = op.system.A.toarray()
+    M = op.system.restrict(op.M).toarray()
+    W = np.linalg.solve(A, P)
+    return W.T @ M @ W
+
+
+class TestProbe:
+    @pytest.mark.parametrize("mesh, bc, points", CASES, ids=CASE_IDS)
+    def test_batched_moments_are_bitwise_one_batch(self, mesh, bc, points):
+        op = DiscreteSolutionOperator(mesh, bc, 1.3)
+        for n, seed in [(2, 1), (16, 2), (17, 3), (300, 4)]:
+            rep = monte_carlo_moments(op, points, n, GaussianStream(seed, 5))
+            mean, cov = one_batch_moments(op, points, n, GaussianStream(seed, 5))
+            assert np.array_equal(rep.mean, mean)
+            assert np.array_equal(rep.covariance, cov)
+
+    def test_repeated_point_set_returns_the_same_read_only_arrays(self, neumann_op):
+        points = [(0.5, 0.5), (1.2, 2.9)]
+        first = neumann_op.probe(points)
+        again = neumann_op.probe([np.array(p) for p in points])
+        assert again.G is first.G and again.W is first.W
+        assert neumann_op.point_functionals(points) is first.G
+        for a in first:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_other_point_set_gives_its_own_arrays(self, neumann_op):
+        a_points, b_points = [(0.5, 0.5), (1.2, 2.9)], [(0.5, 0.5), (2.0, 0.7), (1.2, 2.9)]
+        a = neumann_op.probe(a_points)
+        a_G = a.G.copy()
+        b = neumann_op.probe(b_points)
+        assert b.G.shape == (neumann_op.mesh.n_nodes, 3)
+        assert not np.shares_memory(a.G, b.G) and not np.shares_memory(a.W, b.W)
+        assert np.array_equal(a.G, a_G)
+        # the same set of points in another order is another key
+        swapped = neumann_op.probe(a_points[::-1])
+        assert swapped.G is not a.G
+        again = neumann_op.probe(a_points)
+        assert again.G is not a.G and np.array_equal(again.G, a_G)
+
+    def test_value_does_not_depend_on_earlier_calls(self, neumann_op):
+        points = [(0.7, 1.1), (2.2, 0.4), (1.5, 1.5)]
+        fresh = DiscreteSolutionOperator(neumann_op.mesh, neumann(), 1.0)
+        neumann_op.probe([(0.1, 0.2)])
+        assert np.array_equal(exact_covariances(neumann_op, points), exact_covariances(fresh, points))
+        first = exact_discrete_covariance(fresh, points[0], points[1])
+        exact_covariances(fresh, points)
+        assert exact_discrete_covariance(fresh, points[0], points[1]) == first
+
+    @pytest.mark.parametrize("mesh, bc, points", CASES, ids=CASE_IDS)
+    def test_exact_covariances_match_the_written_out_formula(self, mesh, bc, points):
+        op = DiscreteSolutionOperator(mesh, bc, 1.3)
+        got = exact_covariances(op, points)
+        want = written_out_covariances(op, points)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        x, y = points[0], points[1]
+        assert exact_discrete_covariance(op, x, y) == pytest.approx(want[0, 1], rel=1e-12)
+
+    def test_holder_matches_three_solves_per_pair(self, neumann_op):
+        # the fit as computed with single-pair covariances, written out here
+        x0 = np.array([1.5, 1.4])
+        seps = np.geomspace(0.03, 1.0, 7)
+        pairs = [(tuple(x0), tuple(x0 + s * np.array([0.8, 0.6]))) for s in seps]
+        moments = []
+        for x, y in pairs:
+            c = written_out_covariances(neumann_op, [x, y])
+            moments.append(c[0, 0] - 2.0 * c[0, 1] + c[1, 1])
+        X = np.column_stack([np.log(seps), np.ones(seps.size)])
+        coef, *_ = np.linalg.lstsq(X, np.log(moments), rcond=None)
+        fit = holder_modulus(neumann_op, pairs)
+        assert fit.alpha == pytest.approx(coef[0] / 2.0, rel=1e-10)
+        assert fit.c == pytest.approx(np.exp(coef[1]), rel=1e-10)
+
+    def test_cg_branch(self, monkeypatch):
+        mesh = build_rectangle_mesh(1.0, 1.0, 6, 6)
+        points = [(0.3, 0.4), (0.75, 0.6)]
+        direct = DiscreteSolutionOperator(mesh, dirichlet(), 1.0)
+        monkeypatch.setattr(fem, "_DIRECT_LIMIT", 0)
+        op = DiscreteSolutionOperator(mesh, dirichlet(), 1.0)
+        assert op.system._lu is None
+        probe = op.probe(points)
+        assert op.probe(points) is probe
+        assert not probe.G.flags.writeable and not probe.W.flags.writeable
+        np.testing.assert_allclose(probe.G, direct.probe(points).G, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(exact_covariances(op, points),
+                                   written_out_covariances(op, points), rtol=1e-6)
+        rep = monte_carlo_moments(op, points, 40, GaussianStream(3, 0))
+        mean, cov = one_batch_moments(op, points, 40, GaussianStream(3, 0))
+        assert np.array_equal(rep.covariance, cov)
