@@ -43,7 +43,7 @@ from .sampling import (
     DiscreteSolutionOperator,
     exact_covariances,
     monte_carlo_moments,
-    point_values,
+    path_point_values,
 )
 from .spectral import Interval, ModelDomain, Rectangle, eigenpairs
 
@@ -310,10 +310,7 @@ def run_sample(cfg: ExperimentConfig):
     op = DiscreteSolutionOperator(mesh, cfg.bc, cfg.lam)
     points = cfg.points or [tuple(mesh.nodes[mesh.n_nodes // 2])]
     G = op.point_functionals(points)
-    vals = np.empty((cfg.samples, len(points)))
-    for i in range(cfg.samples):
-        z = GaussianStream(cfg.seed, cfg.stream_id + i).normals(mesh.n_nodes)
-        vals[i] = point_values(z[None, :], G)[0]
+    vals = path_point_values(G, cfg.samples, GaussianStream(cfg.seed, cfg.stream_id))
     rows = [[i, *v] for i, v in enumerate(vals)]
     header = ["path", *(f"p{j}" for j in range(len(points)))]
     report = {

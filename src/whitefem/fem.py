@@ -8,7 +8,8 @@ b_i = <f, phi_i>, which lets function loads (b = M f_nodal) and sampled
 white-noise loads share one solve path.  That path factors the system matrix
 once, as the symmetric positive definite matrix it is, under a geometric
 nested-dissection ordering of the free nodes, and every backsolve reuses the
-factor.
+factor.  The white-noise load factor (noise.LoadSampler) is the Cholesky
+factor of M under the same kind of ordering, through the same SuperLU route.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _require_same_mesh(u: FemFunction, v: FemFunction):
 
 
 def _check_measures(mesh: Mesh) -> np.ndarray:
-    meas = mesh.element_measures()
+    meas = mesh.element_measures
     bad = np.nonzero(meas <= 0)[0]
     if bad.size:
         raise ValueError(f"degenerate element {bad[0]}: measure {float(meas[bad[0]])}")
@@ -174,94 +175,142 @@ def assemble_boundary_mass(mesh: Mesh) -> sp.csr_array:
 # -- factorized solves -------------------------------------------------------
 
 
-def _symmetric_splu(A: sp.sparray, permc_spec: str):
-    """SuperLU factor of a symmetric matrix with diagonal pivots only.
+def _ordered_splu(A: sp.sparray, order: np.ndarray):
+    """SuperLU factor of A[order][:, order], for a symmetric A, with diagonal pivots only.
 
-    With diagonal pivoting forced, the factor of a symmetric positive
-    definite matrix is its L D L^T factorization under the column ordering.
-    Raises ValueError when a pivot leaves the diagonal, which happens only
-    on a zero pivot.  The pivots' signs are not read here: reading them makes
-    lu keep CSC copies of its L and U factors for as long as lu lives.
+    The permuted matrix is built in one COO step and factored in its own
+    (NATURAL) column order.  With diagonal pivoting forced, the factor of a
+    symmetric positive definite matrix is its L D L^T factorization.  Raises
+    ValueError when a pivot leaves the diagonal, which happens only on a
+    zero pivot.  The pivots' signs are not read here: reading them makes lu
+    keep CSC copies of its L and U factors for as long as lu lives.
     """
-    lu = splu(sp.csc_matrix(A), permc_spec=permc_spec, diag_pivot_thresh=0.0,
+    position = np.empty(order.size, dtype=np.int64)
+    position[order] = np.arange(order.size)
+    coo = A.tocoo()
+    permuted = sp.csc_matrix((coo.data, (position[coo.row], position[coo.col])), shape=A.shape)
+    lu = splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
               options=dict(SymmetricMode=True))
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise ValueError("factorization pivoted off the diagonal: matrix is not SPD")
     return lu
 
 
-def sparse_cholesky(M: sp.sparray) -> tuple[sp.csc_array, np.ndarray]:
-    """Sparse Cholesky factor of M under a fill-reducing symmetric ordering.
+def sparse_cholesky(M: sp.sparray, order: np.ndarray) -> sp.csc_array:
+    """Sparse square root F of a symmetric positive definite M, F F^T = M.
 
-    Returns (L, order): L is lower triangular with L L^T = M[order][:, order].
-    The ordering is SuperLU's minimum degree on the pattern of M + M^T,
-    followed by an LU factorization with diagonal pivoting disabled; for a
-    symmetric positive definite M this keeps the row and column orderings
-    equal and yields exactly the Cholesky factor of the permuted matrix.
-    The ordering is a deterministic function of the sparsity pattern, so
-    sampled load vectors stay reproducible across runs.
+    F is the Cholesky factor L of M[order][:, order] with its rows relabelled
+    to node order: row order[k] of F is row k of L, so F[order] = L is lower
+    triangular and column k of F belongs to factor position k.  The ordering
+    is the caller's (the nested dissection of :func:`nested_dissection`), so
+    F is a deterministic function of M and the mesh.  L is scaled and
+    relabelled in place once SuperLU's own storage is released.  Raises
+    ValueError when a pivot is not positive.
     """
-    lu = _symmetric_splu(M, "MMD_AT_PLUS_A")
+    lu = _ordered_splu(M, order)
     d = lu.U.diagonal()
     if not (d > 0).all():
         raise ValueError("matrix is not positive definite (nonpositive pivot)")
-    # perm_c[i] is the position of node i in the factor; order inverts it.
-    order = np.argsort(lu.perm_c)
-    L = lu.L
-    # Release SuperLU's storage and its U before L is scaled into a copy.
+    F = lu.L
     del lu
-    return (L @ sp.diags_array(np.sqrt(d))).tocsc(), order
+    # L D L^T = (L sqrt(D)) (L sqrt(D))^T: scale column k by sqrt(d_k).
+    F.data *= np.repeat(np.sqrt(d), np.diff(F.indptr))
+    F.indices = order.astype(F.indices.dtype)[F.indices]
+    F.has_sorted_indices = False
+    return F
 
 
-def nested_dissection(mesh: Mesh, free: np.ndarray) -> np.ndarray:
+def nested_dissection(mesh: Mesh, free: np.ndarray, graph: sp.sparray) -> np.ndarray:
     """Geometric nested-dissection ordering of the free nodes (George 1973).
 
     Returns order, a permutation of range(free.size) in free-node numbering.
-    A node set is split at the median of its wider coordinate axis; the
-    separator is the lower-half nodes with an element neighbour in the upper
+    A node set is split at the median of its wider coordinate axis (x on a
+    tie); the separator is the lower-half nodes with a neighbour in the upper
     half.  Both halves are ordered recursively, then the separator, until a
-    set has at most _ND_LEAF nodes.  On a 2D mesh the factor of a matrix with
-    the element graph's pattern then has O(n log n) fill (Lipton, Rose and
-    Tarjan 1979).  Only coordinates and connectivity enter, so the ordering
-    is deterministic.
+    set has at most _ND_LEAF nodes; each leaf and separator is in ascending
+    node order.  On a 2D mesh the factor of a matrix with the element graph's
+    pattern then has O(n log n) fill (Lipton, Rose and Tarjan 1979).
+
+    The neighbours are read from graph, a square matrix over all mesh nodes
+    whose pattern is the mesh's element graph, as the mass matrix's is.  The
+    recursion runs one tree level at a time, splitting every set of a level
+    at once.  Each set is kept in ascending order and sorted along each axis,
+    so its median is its middle element; only lower-half nodes within twice
+    the longest edge extent of the median are tested for the separator.
+    Only coordinates and connectivity enter, so the ordering is
+    deterministic.
     """
     n = free.size
-    local = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    order = np.arange(n)
+    if n <= _ND_LEAF:
+        return order
+    local = np.full(mesh.n_nodes, -1, dtype=np.int64)  # -1 off the free nodes
     local[free] = np.arange(n)
-    el = local[mesh.elements]
-    k = el.shape[1]
-    pairs = np.sort(np.concatenate([el[:, [i, j]] for i in range(k) for j in range(i + 1, k)]), axis=1)
-    pairs = pairs[pairs[:, 0] >= 0]
-    # Each edge once, as (u, v) with u < v; int32 halves the traffic of the
-    # per-level gathers.
-    edges = np.sort(pairs[:, 0] * n + pairs[:, 1])
-    edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
-    u, v = (edges // n).astype(np.int32), (edges % n).astype(np.int32)
-    axes = [np.ascontiguousarray(mesh.nodes[free, d]) for d in range(mesh.dim)]
-    side = np.zeros(n, dtype=np.int8)  # 0 lower half, 1 upper half, 2 separator
-    parts: list[np.ndarray] = []
-
-    def dissect(idx, u, v):
-        if idx.size <= _ND_LEAF:
-            parts.append(idx)
-            return
-        c = max((a[idx] for a in axes), key=lambda a: a.max() - a.min())
-        med = np.partition(c, c.size // 2)[c.size // 2]
-        low = c < med
-        if not low.any():
-            low = c <= med
-        side[idx] = ~low
-        su, sv = side[u], side[v]
-        side[u[(su == 0) & (sv == 1)]] = 2
-        side[v[(sv == 0) & (su == 1)]] = 2
-        su, sv, s = side[u], side[v], side[idx]
-        halves = [(idx[s == h], (su == h) & (sv == h)) for h in (0, 1)]
-        for half, inside in halves:
-            dissect(half, u[inside], v[inside])
-        parts.append(idx[s == 2])
-
-    dissect(np.arange(n), u, v)
-    return np.concatenate(parts)
+    graph = sp.csr_array(graph)
+    indptr, indices = graph.indptr, graph.indices
+    # A lower-half node further below the median than the longest edge
+    # extent on the split axis has no upper-half neighbour; twice that
+    # extent covers rounding.
+    rows = np.repeat(np.arange(mesh.n_nodes, dtype=np.int32), np.diff(indptr))
+    reach = np.array([2.0 * np.abs(x[rows] - x[indices]).max(initial=0.0) for x in mesh.nodes.T])
+    coords = np.ascontiguousarray(mesh.nodes[free].T)
+    # The active nodes, grouped by set in one group order: in ascending
+    # order in ids, and sorted along axis d in by_axis[d].
+    ids = np.arange(n)
+    by_axis = [np.argsort(c, kind="stable") for c in coords]
+    size, offset = np.array([n]), np.array([0])  # per set: node count, first position
+    # 2 * (serial number of the node's set) + 1 in the upper half; entry -1
+    # belongs to no set and stands for the nodes that are not free.
+    tag = np.full(n + 1, -1, dtype=np.int64)
+    kind = np.empty(n, dtype=np.int8)  # 0 lower half, 1 upper half, 2 separator
+    serial = 0
+    while size.size:
+        k = size.size
+        start = np.cumsum(size) - size
+        ranges = [c[g[start + size - 1]] - c[g[start]] for c, g in zip(coords, by_axis)]
+        axis = (ranges[-1] > ranges[0]).astype(np.int64)  # x unless y is wider
+        med = coords[axis, np.choose(axis, [g[start + size // 2] for g in by_axis])]
+        lab = np.repeat(np.arange(k), size)
+        c = coords[axis[lab], ids]
+        low = c < med[lab]
+        n_low = np.add.reduceat(low, start)
+        if (n_low == 0).any():
+            low |= (n_low == 0)[lab] & (c <= med[lab])
+            n_low = np.add.reduceat(low, start)
+        tag[ids] = 2 * (serial + lab) + ~low
+        serial += k
+        # Separator: tested lower-half nodes with an upper-half neighbour in
+        # their own set, found by one sweep over the tested nodes' rows.
+        tested = np.nonzero(low & (c >= (med - reach[axis])[lab]))[0]
+        rows = free[ids[tested]]
+        first = indptr[rows]
+        deg = indptr[rows + 1] - first
+        owner = np.repeat(np.arange(tested.size), deg)
+        entry = np.arange(owner.size) + np.repeat(first - (np.cumsum(deg) - deg), deg)
+        upper = tag[local[indices[entry]]] == tag[ids[tested]][owner] + 1
+        kid = (~low).view(np.int8)
+        kid[tested[owner[upper]]] = 2
+        kind[ids] = kid
+        n_sep = np.add.reduceat(kid == 2, start)
+        n_high = size - n_low
+        # Child groups in kind-major order: every lower half, every upper
+        # half, every separator.  Positions are post-order: lower half,
+        # upper half, then the separator.
+        sizes = np.concatenate([n_low - n_sep, n_high, n_sep])
+        offsets = np.concatenate([offset, offset + n_low - n_sep, offset + n_low - n_sep + n_high])
+        ids = np.concatenate([ids[kid == j] for j in range(3)])
+        by_axis = [np.concatenate([g[kind[g] == j] for j in range(2)]) for g in by_axis]
+        finished = sizes <= _ND_LEAF
+        finished[2 * k:] = True
+        finished[:k] |= n_high == 0  # no split: every coordinate is equal
+        done = np.repeat(finished, sizes)
+        place = np.repeat(offsets - (np.cumsum(sizes) - sizes), sizes) + np.arange(ids.size)
+        order[place[done]] = ids[done]
+        ids = ids[~done]
+        halves = ~done[: done.size - n_sep.sum()]
+        by_axis = [g[halves] for g in by_axis]
+        size, offset = sizes[~finished], offsets[~finished]
+    return order
 
 
 class FactorizedSystem:
@@ -272,10 +321,11 @@ class FactorizedSystem:
     set is built from them.  For Dirichlet problems the boundary rows/columns
     are eliminated and the solution is re-embedded with exact zeros on the
     boundary.  Up to _DIRECT_LIMIT free nodes, A is factored as the symmetric
-    positive definite matrix it is, under the nested-dissection ordering of
-    the free nodes (computed from the mesh before assembly); larger systems
-    use diagonally preconditioned CG.  Instances are immutable after
-    construction and safe for repeated backsolves.
+    positive definite matrix it is, under `order`, the nested-dissection
+    ordering of the free nodes (from the coordinates and M's pattern; when
+    every node is free, the load factor uses the same array); larger systems
+    use diagonally preconditioned CG and have no order.  Instances are
+    immutable after construction and safe for repeated backsolves.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
@@ -293,8 +343,6 @@ class FactorizedSystem:
         self.n_free = self.free.size
         if self.n_free == 0:
             raise ValueError("no free degrees of freedom (Dirichlet on a boundary-only mesh)")
-        direct = self.n_free <= _DIRECT_LIMIT
-        self._order = nested_dissection(mesh, self.free) if direct else None
         self.K = assemble_stiffness(mesh)
         self.M = assemble_mass(mesh)
         self.R = assemble_boundary_mass(mesh) if bc.kind == ROBIN else None
@@ -303,17 +351,15 @@ class FactorizedSystem:
             A = A + bc.beta * self.R
         self.A_full = A.tocsr()
         self.A = self.restrict(self.A_full).tocsc()
-        if direct:
-            position = np.empty(self.n_free, dtype=np.int64)
-            position[self._order] = np.arange(self.n_free)
-            coo = self.A.tocoo()
-            permuted = sp.csc_matrix((coo.data, (position[coo.row], position[coo.col])),
-                                     shape=self.A.shape)
-            # A = K + lam M (+ beta R) is SPD because lam > 0, beta > 0 and
-            # every element measure is positive, all checked before this.
-            self._lu = _symmetric_splu(permuted, "NATURAL")
+        if self.n_free <= _DIRECT_LIMIT:
+            # M's pattern is the element graph.  A = K + lam M (+ beta R) is
+            # SPD because lam > 0, beta > 0 and every element measure is
+            # positive, all checked before this.
+            self.order = nested_dissection(mesh, self.free, self.M)
+            self._lu = _ordered_splu(self.A, self.order)
             self._diag = None
         else:
+            self.order = None
             self._lu = None
             self._diag = self.A.diagonal()
 
@@ -337,7 +383,7 @@ class FactorizedSystem:
         # so no permuted copy of a wide b is made.
         cols = b.reshape(b.shape[0], -1)
         x = np.empty(cols.shape, order="F")
-        order = self._order
+        order = self.order
         for start in range(0, cols.shape[1], _SOLVE_CHUNK):
             stop = start + _SOLVE_CHUNK
             block = x[:, start:stop]
@@ -536,7 +582,7 @@ def quadrature_points(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bary, w = reference_quadrature(mesh.dim)
     corners = mesh.nodes[mesh.elements]  # (m, k, dim)
     points = np.einsum("qk,mkd->mqd", bary, corners)
-    weights = np.abs(mesh.element_measures())[:, None] * w[None, :]
+    weights = np.abs(mesh.element_measures)[:, None] * w[None, :]
     return points, weights, bary
 
 
@@ -547,7 +593,7 @@ def element_gradients(mesh: Mesh) -> np.ndarray:
     sum_i c[elements[e, i]] * G[e, i, :].
     """
     pts = mesh.nodes[mesh.elements]
-    meas = mesh.element_measures()
+    meas = mesh.element_measures
     if mesh.dim == 1:
         h = meas
         G = np.empty((mesh.n_elements, 2, 1))

@@ -84,14 +84,18 @@ class Mesh:
         d20 = np.linalg.norm(pts[:, 0] - pts[:, 2], axis=1)
         return float(np.maximum(np.maximum(d01, d12), d20).max())
 
+    @cached_property
     def element_measures(self) -> np.ndarray:
-        """Length (1D) or signed area (2D) of each element."""
+        """Length (1D) or signed area (2D) of each element, read-only, computed once."""
         pts = self.nodes[self.elements]
         if self.dim == 1:
-            return pts[:, 1, 0] - pts[:, 0, 0]
-        v1 = pts[:, 1] - pts[:, 0]
-        v2 = pts[:, 2] - pts[:, 0]
-        return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+            meas = pts[:, 1, 0] - pts[:, 0, 0]
+        else:
+            v1 = pts[:, 1] - pts[:, 0]
+            v2 = pts[:, 2] - pts[:, 0]
+            meas = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+        meas.setflags(write=False)
+        return meas
 
     def boundary_nodes(self) -> np.ndarray:
         """Sorted unique indices of nodes lying on boundary facets."""
@@ -114,7 +118,7 @@ class Mesh:
             raise ValueError("boundary facet refers to a node index out of range")
         if self.elements.shape[1] != self.dim + 1:
             raise ValueError("elements must have dim + 1 nodes each")
-        meas = self.element_measures()
+        meas = self.element_measures
         bad = np.nonzero(meas <= 0)[0]
         if bad.size:
             raise ValueError(f"element {bad[0]} has nonpositive measure {float(meas[bad[0]])}")

@@ -1,18 +1,20 @@
 """Reproducible white-noise sampling.
 
 Normals come from the inverse normal CDF applied to a counter-based Philox
-generator, so a stream is a pure function of (seed, stream_id, counter):
-substreams are splittable for parallel Monte Carlo and sequences are stable
-across platforms and runs.  This generation scheme is frozen; golden tests
-pin exact output values.
+generator, so a stream is a pure function of (seed, stream_id, counter): a
+counter offset selects any run of a stream without drawing what comes before
+it, and sequences are stable across platforms and runs.  This generation
+scheme is frozen; golden tests pin exact output values.
 
 Load vectors b_i = W(phi_i) are sampled as b = F z with F F^T = M exactly, M
 the consistent mass matrix (no mass lumping: lumping would perturb the load
 covariance by O(h^2) and contaminate measured convergence rates).  F is the
-sparse Cholesky factor of M under a fill-reducing node ordering, with its
-rows put back in node order; any exact square root of M gives the same load
-law, and this one has a fraction of the natural-order factor's fill.  A load
-consumes one normal per node.
+sparse Cholesky factor of M under the geometric nested-dissection ordering
+of all nodes (fem.nested_dissection), with its rows put back in node order.
+For Neumann and Robin problems that is the system factor's own ordering
+array.  Any exact square root of M gives the same load law, and this one has
+a fraction of the natural-order factor's fill.  A load consumes one normal
+per node.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import ndtri
 
-from .fem import sparse_cholesky
+from .fem import nested_dissection, sparse_cholesky
 from .mesh import Mesh
 from .spectral import EigenBasis, SpectralField
 
@@ -49,12 +51,11 @@ def _normals_from_raw(raw: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GaussianStream:
-    """Seeded, substream-indexed source of i.i.d. standard normals.
+    """Seeded, stream-indexed source of i.i.d. standard normals.
 
-    (seed, stream_id) select an independent substream; `counter` is the
-    number of normals already drawn, so equal states reproduce equal output
-    bit for bit.  Instances are cheap value objects; parallel workers should
-    each get a distinct stream_id.
+    (seed, stream_id) select an independent stream; `counter` is the number
+    of normals already drawn, so equal states reproduce equal output bit for
+    bit.  Instances are cheap value objects.
     """
 
     seed: int
@@ -73,10 +74,6 @@ class GaussianStream:
         raw = np.random.Philox(key=key, counter=ctr).random_raw(offset + n)[offset:]
         self.counter += n
         return _normals_from_raw(raw)
-
-    def substream(self, offset: int) -> "GaussianStream":
-        """Fresh stream with stream_id shifted by offset (counter reset)."""
-        return GaussianStream(self.seed, (self.stream_id + offset) & _MASK64, 0)
 
 
 @dataclass(frozen=True)
@@ -99,15 +96,18 @@ class LoadSampler:
     """Factor the mass matrix once, then draw many load vectors against it.
 
     `chol` is the sparse square root F of M (F F^T = M, one column per
-    normal): the permuted Cholesky factor L of `sparse_cholesky`, whose row
-    k belongs to node order[k], with its rows put back in node order.
+    normal) from `sparse_cholesky` under `order`, a nested-dissection
+    ordering of all nodes.  A caller that already has one, such as the
+    system factor's ordering when every node is free, passes it; otherwise
+    it is computed here from the mesh and M's pattern.
     """
 
-    def __init__(self, mesh: Mesh, M: sp.sparray):
+    def __init__(self, mesh: Mesh, M: sp.sparray, order: np.ndarray | None = None):
         self.mesh = mesh
         self.M = M
-        L, order = sparse_cholesky(M)
-        self.chol = L[np.argsort(order)]
+        if order is None:
+            order = nested_dissection(mesh, np.arange(mesh.n_nodes), M)
+        self.chol = sparse_cholesky(M, order)
 
     def sample(self, stream: GaussianStream) -> LoadSample:
         z = stream.normals(self.mesh.n_nodes)

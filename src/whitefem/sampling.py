@@ -13,13 +13,13 @@ at probe points therefore uses the functionals G = F^T W and then costs one
 contraction per path, with no load vector and no solve.  The functionals use
 the load factor F, never M, so the check against the closed form W^T M W
 still tests F F^T = M.  Both come from one probe of the point set
-(DiscreteSolutionOperator.probe).
+(DiscreteSolutionOperator.probe); G is formed only when asked for.  Path i
+of a run is always the i-th run of n_nodes normals of one stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,18 +39,6 @@ _PROBE_TOL = 1e-10
 _BATCH = 16
 
 
-class Probe(NamedTuple):
-    """Solved point functionals of one point set, both read-only.
-
-    W (n_free, p) is A^{-1} P^T on the free nodes; G (n_nodes, p) is F^T W
-    with W extended by zeros on the Dirichlet nodes, column-major so that
-    each point's functional is one contiguous run.
-    """
-
-    W: np.ndarray
-    G: np.ndarray
-
-
 class DiscreteSolutionOperator:
     """Factorized discrete solve plus the load sampler that feeds it."""
 
@@ -60,9 +48,11 @@ class DiscreteSolutionOperator:
         self.lam = float(lam)
         self.system = FactorizedSystem(mesh, bc, lam)
         self.K, self.M, self.R = self.system.K, self.system.M, self.system.R
-        self.sampler = LoadSampler(mesh, self.M)
+        # With every node free, A and M have one pattern and share one ordering.
+        shared = self.system.order if self.system.n_free == mesh.n_nodes else None
+        self.sampler = LoadSampler(mesh, self.M, shared)
         self.M_free = self.system.restrict(self.M).tocsr()
-        self._last_probe = None
+        self._last_probe = None  # [key, W, G or None] of the last point set
         self._check_factorization()
 
     def _check_factorization(self):
@@ -76,13 +66,13 @@ class DiscreteSolutionOperator:
     def free(self) -> np.ndarray:
         return self.system.free
 
-    def probe(self, points) -> Probe:
-        """W = A^{-1} P^T and G = F^T W for a point set, from one block solve.
+    def probe(self, points) -> np.ndarray:
+        """W = A^{-1} P^T (n_free, p) for a point set, from one block solve.
 
         The points are located once and the p columns are solved together.
         The last point set's result is kept, keyed by the shape and bytes of
         the stacked points; the operator is immutable, so the entry never goes
-        stale, and a repeated call returns the same read-only arrays.
+        stale, and a repeated call returns the same read-only array.
         """
         pts = np.stack([np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in points])
         key = (pts.shape, pts.tobytes())
@@ -90,19 +80,27 @@ class DiscreteSolutionOperator:
         if last is not None and last[0] == key:
             return last[1]
         P = point_vectors(self.mesh, pts)[self.free]
-        W_free = self.system.solve_free(P)
-        W = np.zeros((self.mesh.n_nodes, P.shape[1]))
-        W[self.free] = W_free
-        G = np.asfortranarray(self.sampler.chol.T @ W)
-        W_free.setflags(write=False)
-        G.setflags(write=False)
-        result = Probe(W_free, G)
-        self._last_probe = (key, result)
-        return result
+        W = self.system.solve_free(P)
+        W.setflags(write=False)
+        self._last_probe = [key, W, None]
+        return W
 
     def point_functionals(self, points) -> np.ndarray:
-        """G (n_nodes, p) with X_h(x_k) = z @ G[:, k] for the path of normals z."""
-        return self.probe(points).G
+        """G (n_nodes, p) with X_h(x_k) = z @ G[:, k] for the path of normals z.
+
+        G = F^T W with W extended by zeros on the Dirichlet nodes, column-major
+        so that each point's functional is one contiguous run.  It is formed
+        on the first call for a point set and kept, read-only, with its W.
+        """
+        W_free = self.probe(points)
+        last = self._last_probe
+        if last[2] is None:
+            W = np.zeros((self.mesh.n_nodes, W_free.shape[1]))
+            W[self.free] = W_free
+            G = np.asfortranarray(self.sampler.chol.T @ W)
+            G.setflags(write=False)
+            last[2] = G
+        return last[2]
 
     def path_from_load(self, load: LoadSample) -> FemFunction:
         return FemFunction(self.mesh, self.system.solve(load.b))
@@ -128,6 +126,22 @@ def point_values(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.einsum("pn,kn->pk", Z, G.T)
 
 
+def path_point_values(G: np.ndarray, n: int, stream: GaussianStream) -> np.ndarray:
+    """Values (n, p) at G's points of n paths drawn from stream.
+
+    Path i takes the i-th run of n_nodes normals of the stream.  Normals are
+    drawn _BATCH paths at a time and contracted with G while they are still
+    in cache; a path's values do not depend on the batch it falls in.
+    """
+    n_nodes = G.shape[0]
+    values = np.empty((n, G.shape[1]))
+    for start in range(0, n, _BATCH):
+        count = min(_BATCH, n - start)
+        Z = stream.normals(count * n_nodes).reshape(count, n_nodes)
+        values[start : start + count] = point_values(Z, G)
+    return values
+
+
 def exact_covariances(op: DiscreteSolutionOperator, points) -> np.ndarray:
     """Cov(X_h(x_i), X_h(x_j)) = (W^T M W)_ij for W = A^{-1} P^T, exactly.
 
@@ -136,7 +150,7 @@ def exact_covariances(op: DiscreteSolutionOperator, points) -> np.ndarray:
     Dirichlet boundary points give 0 rows and columns because their basis
     support is entirely on eliminated rows.
     """
-    W = op.probe(points).W
+    W = op.probe(points)
     return np.einsum("ni,nj->ij", W, op.M_free @ W)
 
 
@@ -164,22 +178,14 @@ def monte_carlo_moments(
 ) -> MomentReport:
     """Sample moments of X_h at evaluation points over n independent paths.
 
-    Path k takes the k-th run of n_nodes normals of the stream.  Normals are
-    drawn _BATCH paths at a time and contracted with the point functionals
-    while they are still in cache.  All reductions run over the stored
-    path-major array, so results do not depend on scheduling.  Standard
-    errors use the Gaussian moment formulas.
+    The paths are those of :func:`path_point_values`.  All reductions run
+    over the stored path-major array, so results do not depend on
+    scheduling.  Standard errors use the Gaussian moment formulas.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     pts = [np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in points]
-    G = op.point_functionals(pts)
-    n_nodes = op.mesh.n_nodes
-    values = np.empty((n, len(pts)))
-    for start in range(0, n, _BATCH):
-        count = min(_BATCH, n - start)
-        Z = stream.normals(count * n_nodes).reshape(count, n_nodes)
-        values[start : start + count] = point_values(Z, G)
+    values = path_point_values(op.point_functionals(pts), n, stream)
     mean = values.sum(axis=0) / n
     centered = values - mean
     p = len(pts)

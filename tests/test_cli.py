@@ -9,6 +9,9 @@ import pytest
 
 import whitefem.fem
 from whitefem.cli import ConfigError, build_config, config_hash, main, parse_config_text
+from whitefem.fem import robin
+from whitefem.noise import GaussianStream
+from whitefem.sampling import DiscreteSolutionOperator, path_point_values, point_values
 
 CONVERGE_CONFIG = """\
 # small convergence study
@@ -186,6 +189,28 @@ class TestCliRuns:
         rows = [l for l in csv_path.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == "path,p0"
         assert len(rows) == 51
+
+    @pytest.mark.parametrize("n", [1, 16, 17])
+    def test_sample_paths_are_runs_of_one_stream(self, tmp_path, n):
+        # path i is the i-th run of n_nodes normals of (seed, stream_id), the
+        # rule covariance uses, drawn through the same batched helper
+        config = (
+            "domain = rectangle\nlx = 2.0\nly = 1.0\nbc = robin\nbeta = 0.5\nlambda = 1.0\n"
+            f"levels = 8\nsamples = {n}\npoints = 0.5,0.5; 1.5,0.25\nseed = 3\nstream_id = 4\n"
+        )
+        code, outdir = run_cli(tmp_path, "sample", config)
+        assert code == 0
+        (csv_path,) = outdir.glob("sample/*/levels.csv")
+        rows = [l for l in csv_path.read_text().splitlines() if not l.startswith("#")][1:]
+        got = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+        mesh = build_config("sample", parse_config_text(config)).base_mesh(8)
+        op = DiscreteSolutionOperator(mesh, robin(0.5), 1.0)
+        G = op.point_functionals([(0.5, 0.5), (1.5, 0.25)])
+        want = path_point_values(G, n, GaussianStream(3, 4))
+        assert np.array_equal(got, want)
+        for i in range(n):
+            z = GaussianStream(3, 4, counter=i * mesh.n_nodes).normals(mesh.n_nodes)
+            assert np.array_equal(want[i], point_values(z[None, :], G)[0])
 
     def test_mesh_file_input(self, tmp_path):
         from whitefem.mesh import build_rectangle_mesh, write_mesh

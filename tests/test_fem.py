@@ -61,6 +61,60 @@ def _l_shape(tmp_path):
     return refine_uniform(refine_uniform(read_mesh(path)))
 
 
+# Reference ordering: one recursive call per set, edges taken from the elements.
+def _recursive_nested_dissection(mesh: Mesh, free: np.ndarray) -> np.ndarray:
+    """The recursive nested dissection the level-synchronous one must equal.
+
+    Kept verbatim from the recursive implementation, as the reference.
+
+    Returns order, a permutation of range(free.size) in free-node numbering.
+    A node set is split at the median of its wider coordinate axis; the
+    separator is the lower-half nodes with an element neighbour in the upper
+    half.  Both halves are ordered recursively, then the separator, until a
+    set has at most fem._ND_LEAF nodes.  On a 2D mesh the factor of a matrix with
+    the element graph's pattern then has O(n log n) fill (Lipton, Rose and
+    Tarjan 1979).  Only coordinates and connectivity enter, so the ordering
+    is deterministic.
+    """
+    n = free.size
+    local = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    local[free] = np.arange(n)
+    el = local[mesh.elements]
+    k = el.shape[1]
+    pairs = np.sort(np.concatenate([el[:, [i, j]] for i in range(k) for j in range(i + 1, k)]), axis=1)
+    pairs = pairs[pairs[:, 0] >= 0]
+    # Each edge once, as (u, v) with u < v; int32 halves the traffic of the
+    # per-level gathers.
+    edges = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
+    u, v = (edges // n).astype(np.int32), (edges % n).astype(np.int32)
+    axes = [np.ascontiguousarray(mesh.nodes[free, d]) for d in range(mesh.dim)]
+    side = np.zeros(n, dtype=np.int8)  # 0 lower half, 1 upper half, 2 separator
+    parts: list[np.ndarray] = []
+
+    def dissect(idx, u, v):
+        if idx.size <= fem._ND_LEAF:
+            parts.append(idx)
+            return
+        c = max((a[idx] for a in axes), key=lambda a: a.max() - a.min())
+        med = np.partition(c, c.size // 2)[c.size // 2]
+        low = c < med
+        if not low.any():
+            low = c <= med
+        side[idx] = ~low
+        su, sv = side[u], side[v]
+        side[u[(su == 0) & (sv == 1)]] = 2
+        side[v[(sv == 0) & (su == 1)]] = 2
+        su, sv, s = side[u], side[v], side[idx]
+        halves = [(idx[s == h], (su == h) & (sv == h)) for h in (0, 1)]
+        for half, inside in halves:
+            dissect(half, u[inside], v[inside])
+        parts.append(idx[s == 2])
+
+    dissect(np.arange(n), u, v)
+    return np.concatenate(parts)
+
+
 class TestAssembly:
     def test_1d_interior_stiffness_row(self):
         m = build_interval_mesh(0.0, 1.0, 4)
@@ -272,10 +326,33 @@ class TestNestedDissectionFactor:
     def test_ordering_is_a_deterministic_permutation(self, bc):
         m = refine_uniform(build_rectangle_mesh(2.0, 1.0, 12, 7))
         sysm = FactorizedSystem(m, bc, 1.0)
-        order = nested_dissection(m, sysm.free)
+        order = nested_dissection(m, sysm.free, sysm.M)
         assert np.array_equal(np.sort(order), np.arange(sysm.n_free))
-        assert np.array_equal(order, sysm._order)
-        assert np.array_equal(order, nested_dissection(m, sysm.free.copy()))
+        assert np.array_equal(order, sysm.order)
+        assert np.array_equal(order, nested_dissection(m, sysm.free.copy(), sysm.M))
+
+    @pytest.mark.parametrize("case", ["rectangle-neumann", "rectangle-dirichlet", "rectangle-robin",
+                                      "interval", "polygon", "small", "fine"])
+    def test_equals_the_recursive_ordering(self, case, tmp_path):
+        rect = refine_uniform(build_rectangle_mesh(2.0, 1.0, 12, 7))
+        mesh, bc = {
+            "rectangle-neumann": lambda: (rect, neumann()),
+            "rectangle-dirichlet": lambda: (rect, dirichlet()),
+            "rectangle-robin": lambda: (rect, robin(0.8)),
+            "interval": lambda: (build_interval_mesh(0.0, 2.0, 150), robin(1.5)),
+            "polygon": lambda: (_l_shape(tmp_path), dirichlet()),
+            "small": lambda: (build_rectangle_mesh(1.0, 1.0, 6, 6), dirichlet()),
+            "fine": lambda: (refine_uniform(refine_uniform(
+                build_rectangle_mesh(np.pi, np.pi, 32, 32))), robin(0.8)),
+        }[case]()
+        sysm = FactorizedSystem(mesh, bc, 1.0)
+        if case == "small":
+            assert sysm.n_free <= fem._ND_LEAF
+        if case == "fine":
+            assert mesh.n_nodes == 16_641
+        ref = _recursive_nested_dissection(mesh, sysm.free)
+        assert np.array_equal(sysm.order, ref)
+        assert np.array_equal(nested_dissection(mesh, sysm.free, sysm.M), ref)
 
     @pytest.mark.parametrize("case", ["neumann", "dirichlet", "robin", "interval", "polygon"])
     def test_solves_match_colamd_lu(self, case, tmp_path):
@@ -295,11 +372,10 @@ class TestNestedDissectionFactor:
             assert x.shape == ref.shape
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("permc_spec", ["NATURAL", "MMD_AT_PLUS_A"])
-    def test_rejects_off_diagonal_pivot(self, permc_spec):
+    def test_rejects_off_diagonal_pivot(self):
         A = sp.csc_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="not SPD"):
-            fem._symmetric_splu(A, permc_spec)
+            fem._ordered_splu(A, np.arange(2))
 
     def test_fill_below_colamd(self):
         m = refine_uniform(refine_uniform(build_rectangle_mesh(np.pi, np.pi, 32, 32)))
@@ -318,7 +394,7 @@ class TestNestedDissectionFactor:
         sysm = FactorizedSystem(m, dirichlet(), 0.7)
         B = np.random.default_rng(width).standard_normal((sysm.n_free, width))
         whole = np.empty(B.shape)
-        whole[sysm._order] = sysm._lu.solve(B[sysm._order])
+        whole[sysm.order] = sysm._lu.solve(B[sysm.order])
         X = sysm.solve_free(B)
         assert np.array_equal(X, whole)
         assert np.array_equal(sysm.solve_free(B[:, 0]), sysm.solve_free(B[:, :1])[:, 0])
@@ -448,31 +524,41 @@ class TestSparseCholesky:
     def test_reconstructs_mass_matrix(self):
         m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 4, 4))
         M = assemble_mass(m)
-        L, order = sparse_cholesky(M)
+        order = nested_dissection(m, np.arange(m.n_nodes), M)
+        F = sparse_cholesky(M, order)
         assert np.array_equal(np.sort(order), np.arange(m.n_nodes))
-        Mp = M.toarray()[np.ix_(order, order)]
-        assert np.abs((L @ L.T).toarray() - Mp).max() < 1e-14
-        assert sp.triu(L, k=1).nnz == 0
+        assert np.abs((F @ F.T).toarray() - M.toarray()).max() < 1e-14
+        assert sp.triu(F[order], k=1).nnz == 0
 
     def test_matches_dense_cholesky(self):
         m = build_interval_mesh(0.0, 1.0, 6)
         M = assemble_mass(m)
-        L, order = sparse_cholesky(M)
+        order = np.random.default_rng(4).permutation(m.n_nodes)
+        F = sparse_cholesky(M, order)
         Mp = M.toarray()[np.ix_(order, order)]
-        assert np.allclose(L.toarray(), np.linalg.cholesky(Mp), atol=1e-14)
+        assert np.allclose(F[order].toarray(), np.linalg.cholesky(Mp), atol=1e-14)
 
     def test_fill_below_half_of_natural_order(self):
         m = refine_uniform(refine_uniform(build_rectangle_mesh(1.0, 1.0, 16, 16)))
         M = assemble_mass(m)
-        L, _ = sparse_cholesky(M)
+        F = sparse_cholesky(M, nested_dissection(m, np.arange(m.n_nodes), M))
         natural = splu(sp.csc_matrix(M), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True)).L
-        assert L.nnz < 0.5 * natural.nnz
+        assert F.nnz < 0.5 * natural.nnz
+
+    def test_fill_below_minimum_degree(self):
+        m = refine_uniform(refine_uniform(build_rectangle_mesh(np.pi, np.pi, 32, 32)))
+        assert m.n_nodes == 16_641
+        M = assemble_mass(m)
+        F = sparse_cholesky(M, nested_dissection(m, np.arange(m.n_nodes), M))
+        mmd = splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True)).L
+        assert F.nnz < mmd.nnz
 
     def test_rejects_indefinite(self):
         A = sp.csc_array(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError):
-            sparse_cholesky(A)
+            sparse_cholesky(A, np.arange(2))
 
 
 def test_boundary_condition_validation():

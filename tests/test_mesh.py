@@ -44,12 +44,12 @@ def test_rectangle_unit_square_area():
     m = build_rectangle_mesh(1.0, 1.0, 1, 1)
     assert m.n_nodes == 4
     assert m.n_elements == 2
-    assert m.element_measures().sum() == pytest.approx(1.0, abs=1e-15)
+    assert m.element_measures.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_rectangle_partition_of_domain():
     m = build_rectangle_mesh(np.pi, np.pi, 8, 8)
-    assert m.element_measures().sum() == pytest.approx(np.pi**2, rel=1e-12)
+    assert m.element_measures.sum() == pytest.approx(np.pi**2, rel=1e-12)
 
 
 def test_rectangle_rejects_bad_input():
@@ -94,7 +94,7 @@ def test_refine_preserves_area():
     m = build_rectangle_mesh(np.pi, np.pi, 4, 4)
     for _ in range(2):
         m = refine_uniform(m)
-        assert m.element_measures().sum() == pytest.approx(np.pi**2, rel=1e-12)
+        assert m.element_measures.sum() == pytest.approx(np.pi**2, rel=1e-12)
 
 
 @pytest.mark.parametrize("levels", [0, 1, 2])
@@ -114,7 +114,24 @@ def test_boundary_nodes_lie_on_boundary(levels):
 
 def test_triangles_positive_area_everywhere():
     m = refine_uniform(build_rectangle_mesh(1.0, 2.0, 3, 5))
-    assert (m.element_measures() > 0).all()
+    assert (m.element_measures > 0).all()
+
+
+@pytest.mark.parametrize("mesh", [refine_uniform(build_rectangle_mesh(1.5, 2.0, 3, 5)),
+                                  build_interval_mesh(-1.0, 2.0, 7)], ids=["rectangle", "interval"])
+def test_element_measures_computed_once_and_read_only(mesh):
+    meas = mesh.element_measures
+    assert mesh.element_measures is meas
+    assert not meas.flags.writeable
+    with pytest.raises(ValueError):
+        meas[0] = 1.0
+    pts = mesh.nodes[mesh.elements]
+    if mesh.dim == 1:
+        want = pts[:, 1, 0] - pts[:, 0, 0]
+    else:
+        (ax, ay), (bx, by), (cx, cy) = (pts[:, i].T for i in range(3))
+        want = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    assert np.array_equal(meas, want)
 
 
 def test_mesh_validation_rejects_bad_indices():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from whitefem.fem import FemFunction, assemble_mass
+import whitefem.fem as fem
+from whitefem.fem import FemFunction, assemble_mass, nested_dissection, sparse_cholesky
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, read_mesh, refine_uniform
 from whitefem.noise import (
     GaussianStream,
@@ -11,7 +12,8 @@ from whitefem.noise import (
     sample_spectral_truncation,
     white_noise_functional,
 )
-from whitefem.fem import dirichlet, neumann
+from whitefem.fem import dirichlet, neumann, robin
+from whitefem.sampling import DiscreteSolutionOperator
 from whitefem.spectral import Interval, Rectangle, SpectralField, eigenpairs, sobolev_norm
 
 # first three normals of stream (seed=42, stream_id=0); the Philox +
@@ -45,11 +47,6 @@ class TestGaussianStream:
         b = GaussianStream(7, 1).normals(1000)
         assert not np.array_equal(a, b)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.12
-
-    def test_substream(self):
-        s = GaussianStream(3, 10, counter=99)
-        sub = s.substream(5)
-        assert (sub.seed, sub.stream_id, sub.counter) == (3, 15, 0)
 
     def test_moments_reasonable(self):
         z = GaussianStream(123, 0).normals(200_000)
@@ -178,6 +175,24 @@ class TestLoadFactor:
         F = LoadSampler(m, M).chol
         assert F.shape == (m.n_nodes, m.n_nodes)
         assert np.abs((F @ F.T - M).toarray()).max() <= 1e-14 * np.abs(M).max()
+
+    @pytest.mark.parametrize("bc", [neumann(), robin(0.7), dirichlet()], ids=["neumann", "robin", "dirichlet"])
+    @pytest.mark.parametrize("direct", [True, False], ids=["direct", "cg"])
+    def test_nested_dissection_of_all_nodes(self, bc, direct, monkeypatch):
+        # With every node free the system's ordering array itself is reused;
+        # otherwise the sampler orders all nodes with the same function.
+        m = refine_uniform(build_rectangle_mesh(2.0, 1.0, 9, 5))
+        if not direct:
+            monkeypatch.setattr(fem, "_DIRECT_LIMIT", 0)
+        op = DiscreteSolutionOperator(m, bc, 1.0)
+        order = nested_dissection(m, np.arange(m.n_nodes), op.M)
+        want = sparse_cholesky(op.M, order)
+        F = op.sampler.chol
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(F, attr), getattr(want, attr))
+        if direct and bc.kind != "dirichlet":
+            assert np.array_equal(op.system.order, order)
+        assert np.abs((F @ F.T - op.M).toarray()).max() <= 1e-14 * np.abs(op.M).max()
 
 
 class TestSpectralTruncation:

@@ -218,27 +218,40 @@ class TestProbe:
     def test_repeated_point_set_returns_the_same_read_only_arrays(self, neumann_op):
         points = [(0.5, 0.5), (1.2, 2.9)]
         first = neumann_op.probe(points)
+        G = neumann_op.point_functionals(points)
         again = neumann_op.probe([np.array(p) for p in points])
-        assert again.G is first.G and again.W is first.W
-        assert neumann_op.point_functionals(points) is first.G
-        for a in first:
+        assert again is first
+        assert neumann_op.point_functionals(points) is G
+        for a in (first, G):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
 
     def test_other_point_set_gives_its_own_arrays(self, neumann_op):
         a_points, b_points = [(0.5, 0.5), (1.2, 2.9)], [(0.5, 0.5), (2.0, 0.7), (1.2, 2.9)]
-        a = neumann_op.probe(a_points)
-        a_G = a.G.copy()
-        b = neumann_op.probe(b_points)
-        assert b.G.shape == (neumann_op.mesh.n_nodes, 3)
-        assert not np.shares_memory(a.G, b.G) and not np.shares_memory(a.W, b.W)
-        assert np.array_equal(a.G, a_G)
+        a_W, a_G = neumann_op.probe(a_points), neumann_op.point_functionals(a_points)
+        a_G_copy = a_G.copy()
+        b_W, b_G = neumann_op.probe(b_points), neumann_op.point_functionals(b_points)
+        assert b_G.shape == (neumann_op.mesh.n_nodes, 3)
+        assert not np.shares_memory(a_G, b_G) and not np.shares_memory(a_W, b_W)
+        assert np.array_equal(a_G, a_G_copy)
         # the same set of points in another order is another key
-        swapped = neumann_op.probe(a_points[::-1])
-        assert swapped.G is not a.G
-        again = neumann_op.probe(a_points)
-        assert again.G is not a.G and np.array_equal(again.G, a_G)
+        swapped = neumann_op.point_functionals(a_points[::-1])
+        assert swapped is not a_G
+        again = neumann_op.point_functionals(a_points)
+        assert again is not a_G and np.array_equal(again, a_G_copy)
+
+    @pytest.mark.parametrize("mesh, bc, points", CASES, ids=CASE_IDS)
+    def test_exact_covariances_never_read_the_load_factor(self, mesh, bc, points):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"load factor read: .{name}")
+
+        want = exact_covariances(DiscreteSolutionOperator(mesh, bc, 1.3), points)
+        op = DiscreteSolutionOperator(mesh, bc, 1.3)
+        op.sampler.chol = Untouchable()
+        assert np.array_equal(exact_covariances(op, points), want)
+        assert exact_discrete_covariance(op, points[0], points[1]) == want[0, 1]
 
     def test_value_does_not_depend_on_earlier_calls(self, neumann_op):
         points = [(0.7, 1.1), (2.2, 0.4), (1.5, 1.5)]
@@ -280,10 +293,10 @@ class TestProbe:
         monkeypatch.setattr(fem, "_DIRECT_LIMIT", 0)
         op = DiscreteSolutionOperator(mesh, dirichlet(), 1.0)
         assert op.system._lu is None
-        probe = op.probe(points)
-        assert op.probe(points) is probe
-        assert not probe.G.flags.writeable and not probe.W.flags.writeable
-        np.testing.assert_allclose(probe.G, direct.probe(points).G, rtol=1e-6, atol=1e-9)
+        W, G = op.probe(points), op.point_functionals(points)
+        assert op.probe(points) is W and op.point_functionals(points) is G
+        assert not G.flags.writeable and not W.flags.writeable
+        np.testing.assert_allclose(G, direct.point_functionals(points), rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(exact_covariances(op, points),
                                    written_out_covariances(op, points), rtol=1e-6)
         rep = monte_carlo_moments(op, points, 40, GaussianStream(3, 0))
