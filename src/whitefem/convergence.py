@@ -123,14 +123,17 @@ class _LevelContext:
         self._coords = [np.unique(self.flat_points[:, d], return_inverse=True) for d in range(mesh.dim)]
         self._scatter = None
 
-    def _mode_columns(self, basis: EigenBasis, k0: int, k1: int) -> list[np.ndarray]:
+    def _mode_columns(self, basis: EigenBasis, k0: int, k1: int, deriv: int | None = None) -> list[np.ndarray]:
         """Per axis, the 1D factors of modes k0..k1 at the distinct
-        coordinates, shape (n_distinct, k1 - k0)."""
+        coordinates, shape (n_distinct, k1 - k0); axis `deriv`, if given,
+        takes the factors' derivatives, so the products are that partial
+        derivative of the modes."""
         columns = []
-        for (b1, idx), (xs, _) in zip(_mode_factors(basis), self._coords):
+        for d, ((b1, idx), (xs, _)) in enumerate(zip(_mode_factors(basis), self._coords)):
             idx = idx[k0:k1]
             lo = idx.min()
-            columns.append(np.ascontiguousarray(b1.evaluate(xs, lo, idx.max() + 1)[idx - lo].T))
+            factor = b1.evaluate_deriv if d == deriv else b1.evaluate
+            columns.append(np.ascontiguousarray(factor(xs, lo, idx.max() + 1)[idx - lo].T))
         return columns
 
     def _mode_chunks(self, columns: list[np.ndarray]):
@@ -171,21 +174,15 @@ class _LevelContext:
             loads[nodes] += scatter @ values.reshape(-1, k1 - k0)
         return loads
 
-    def solutions(self, basis: EigenBasis, k0: int, k1: int, load_rule: str = "interpolation",
-                  fem_apply=None) -> np.ndarray:
+    def solutions(self, basis: EigenBasis, k0: int, k1: int, load_rule: str = "interpolation") -> np.ndarray:
         """Discrete solutions for the loads of modes k0..k1, shape (n_nodes, k1 - k0).
 
         load_rule selects how mode loads enter the discrete solve:
         "interpolation" uses M times the nodal interpolant, "quadrature" the
         element-quadrature projection (the genuine Ritz-Galerkin load).
-        `fem_apply` overrides the discrete solve (given nodal mode values,
-        return full solution coefficients); tests use it to degenerate T_h
-        into the exact operator.
         """
         pts = self.mesh.nodes[:, 0] if self.mesh.dim == 1 else self.mesh.nodes
-        if fem_apply is not None:
-            sols = fem_apply(basis.evaluate(pts, k0, k1).T)
-        elif load_rule == "interpolation":
+        if load_rule == "interpolation":
             nodal = basis.evaluate(pts, k0, k1)  # (B, n_nodes)
             sols = self.system.solve(self.M @ nodal.T)
         elif load_rule == "quadrature":
@@ -212,9 +209,9 @@ class _LevelContext:
         return errors
 
     def mode_errors_l2(self, basis: EigenBasis, lam: float, k0: int, k1: int,
-                       fem_apply=None, load_rule: str = "interpolation") -> np.ndarray:
+                       load_rule: str = "interpolation") -> np.ndarray:
         """||T e_k - T_h e_k||_L2^2 for modes k0..k1 (see `solutions`)."""
-        return self.l2_errors(basis, lam, k0, k1, self.solutions(basis, k0, k1, load_rule, fem_apply))
+        return self.l2_errors(basis, lam, k0, k1, self.solutions(basis, k0, k1, load_rule))
 
 
 def deterministic_fem_error(
@@ -400,21 +397,21 @@ def h1_error_sup_estimate(
     every u^f_h is the genuine Ritz-Galerkin image of a unit-norm load and
     the estimate stabilizes as n_loads grows; nodal interpolation would let
     aliased high modes masquerade as O(1) loads and inflate the max without
-    bound.
+    bound.  The gradient part is summed one partial derivative and one chunk
+    of elements at a time, like the value part.
     """
     basis = eigenpairs(domain, bc, n_loads)
     ctx = _LevelContext(mesh, bc, lam)
     G = element_gradients(mesh)
     sols = ctx.solutions(basis, 0, n_loads, load_rule="quadrature")  # (n_nodes, B)
-    val_part = ctx.l2_errors(basis, lam, 0, n_loads, sols)
-
-    local = sols[mesh.elements]  # (m, k, B)
-    fem_grad = np.einsum("mkd,mkB->mdB", G, local)  # constant per element
-    exact_grad = basis.evaluate_grad(ctx.flat_points, 0, n_loads) / (
-        basis.mu[:, None, None] + lam
-    )  # (B, m*q, dim)
-    m_el, q = ctx.qweights.shape
-    exact_grad = exact_grad.reshape(n_loads, m_el, q, mesh.dim)
-    gdiff = np.moveaxis(exact_grad, 0, -1) - fem_grad[:, None, :, :]  # (m, q, d, B)
-    grad_part = np.einsum("mq,mqdB->B", ctx.qweights, gdiff * gdiff)
-    return float(np.max(val_part + grad_part))
+    # ||u^f - u^f_h||_H1^2 per load: the L2 part, then each partial derivative's
+    errors = ctx.l2_errors(basis, lam, 0, n_loads, sols)
+    for d in range(mesh.dim):
+        columns = ctx._mode_columns(basis, 0, n_loads, deriv=d)
+        columns[0] /= basis.mu[:n_loads] + lam
+        for chunk, diff in ctx._mode_chunks(columns):
+            # the FEM gradient is constant on each element
+            diff -= np.einsum("ck,ckB->cB", G[chunk, :, d], sols[mesh.elements[chunk]])[:, None, :]
+            diff *= diff
+            errors += np.einsum("cq,cqB->B", ctx.qweights[chunk], diff)
+    return float(np.max(errors))

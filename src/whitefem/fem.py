@@ -6,10 +6,10 @@ beta > 0.  Element integrals of P1 products are exact closed forms, so no
 quadrature error enters the assembled operators.  Loads are dual vectors
 b_i = <f, phi_i>, which lets function loads (b = M f_nodal) and sampled
 white-noise loads share one solve path.  That path factors the system matrix
-once, as the symmetric positive definite matrix it is, under a geometric
-nested-dissection ordering of the free nodes, and every backsolve reuses the
+once, as the symmetric positive definite matrix it is, under one geometric
+nested-dissection ordering of the mesh's nodes, and every backsolve reuses the
 factor.  The white-noise load factor (noise.LoadSampler) is the Cholesky
-factor of M under the same kind of ordering, through the same SuperLU route.
+factor of M under the same ordering, through the same SuperLU route.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, cg
+from scipy.sparse.linalg import splu
 
 from .mesh import Mesh
 
@@ -26,15 +26,10 @@ DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 ROBIN = "robin"
 
-# Above this size the solver switches from a direct factorization to
-# diagonally preconditioned CG; one factorization serves many backsolves
-# below the limit, which is what Monte Carlo needs.
-_DIRECT_LIMIT = 200_000
 # Nested-dissection sets of at most this many nodes are not split further.
 _ND_LEAF = 32
 # Columns per block of a multi-column direct solve.
 _SOLVE_CHUNK = 32
-_CG_RTOL = 1e-10
 _RESIDUAL_TOL = 1e-10
 
 
@@ -220,16 +215,18 @@ def sparse_cholesky(M: sp.sparray, order: np.ndarray) -> sp.csc_array:
     return F
 
 
-def nested_dissection(mesh: Mesh, free: np.ndarray, graph: sp.sparray) -> np.ndarray:
-    """Geometric nested-dissection ordering of the free nodes (George 1973).
+def nested_dissection(mesh: Mesh, graph: sp.sparray) -> np.ndarray:
+    """Geometric nested-dissection ordering of the mesh's nodes (George 1973).
 
-    Returns order, a permutation of range(free.size) in free-node numbering.
-    A node set is split at the median of its wider coordinate axis (x on a
-    tie); the separator is the lower-half nodes with a neighbour in the upper
-    half.  Both halves are ordered recursively, then the separator, until a
-    set has at most _ND_LEAF nodes; each leaf and separator is in ascending
-    node order.  On a 2D mesh the factor of a matrix with the element graph's
-    pattern then has O(n log n) fill (Lipton, Rose and Tarjan 1979).
+    Returns order, a permutation of range(mesh.n_nodes).  A node set is split
+    at the median of its wider coordinate axis (x on a tie); the separator is
+    the lower-half nodes with a neighbour in the upper half.  Both halves are
+    ordered recursively, then the separator, until a set has at most _ND_LEAF
+    nodes; each leaf and separator is in ascending node order.  On a 2D mesh
+    the factor of a matrix with the element graph's pattern then has
+    O(n log n) fill (Lipton, Rose and Tarjan 1979).  This one ordering serves
+    both factors: the load factor uses it as it is, and the system factor
+    drops the Dirichlet nodes from it (FactorizedSystem).
 
     The neighbours are read from graph, a square matrix over all mesh nodes
     whose pattern is the mesh's element graph, as the mass matrix's is.  The
@@ -240,28 +237,25 @@ def nested_dissection(mesh: Mesh, free: np.ndarray, graph: sp.sparray) -> np.nda
     Only coordinates and connectivity enter, so the ordering is
     deterministic.
     """
-    n = free.size
+    n = mesh.n_nodes
     order = np.arange(n)
     if n <= _ND_LEAF:
         return order
-    local = np.full(mesh.n_nodes, -1, dtype=np.int64)  # -1 off the free nodes
-    local[free] = np.arange(n)
     graph = sp.csr_array(graph)
     indptr, indices = graph.indptr, graph.indices
     # A lower-half node further below the median than the longest edge
     # extent on the split axis has no upper-half neighbour; twice that
     # extent covers rounding.
-    rows = np.repeat(np.arange(mesh.n_nodes, dtype=np.int32), np.diff(indptr))
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
     reach = np.array([2.0 * np.abs(x[rows] - x[indices]).max(initial=0.0) for x in mesh.nodes.T])
-    coords = np.ascontiguousarray(mesh.nodes[free].T)
+    coords = np.ascontiguousarray(mesh.nodes.T)
     # The active nodes, grouped by set in one group order: in ascending
     # order in ids, and sorted along axis d in by_axis[d].
     ids = np.arange(n)
     by_axis = [np.argsort(c, kind="stable") for c in coords]
     size, offset = np.array([n]), np.array([0])  # per set: node count, first position
-    # 2 * (serial number of the node's set) + 1 in the upper half; entry -1
-    # belongs to no set and stands for the nodes that are not free.
-    tag = np.full(n + 1, -1, dtype=np.int64)
+    # 2 * (serial number of the node's set) + 1 in the upper half
+    tag = np.empty(n, dtype=np.int64)
     kind = np.empty(n, dtype=np.int8)  # 0 lower half, 1 upper half, 2 separator
     serial = 0
     while size.size:
@@ -282,12 +276,12 @@ def nested_dissection(mesh: Mesh, free: np.ndarray, graph: sp.sparray) -> np.nda
         # Separator: tested lower-half nodes with an upper-half neighbour in
         # their own set, found by one sweep over the tested nodes' rows.
         tested = np.nonzero(low & (c >= (med - reach[axis])[lab]))[0]
-        rows = free[ids[tested]]
+        rows = ids[tested]
         first = indptr[rows]
         deg = indptr[rows + 1] - first
         owner = np.repeat(np.arange(tested.size), deg)
         entry = np.arange(owner.size) + np.repeat(first - (np.cumsum(deg) - deg), deg)
-        upper = tag[local[indices[entry]]] == tag[ids[tested]][owner] + 1
+        upper = tag[indices[entry]] == tag[rows][owner] + 1
         kid = (~low).view(np.int8)
         kid[tested[owner[upper]]] = 2
         kind[ids] = kid
@@ -320,12 +314,13 @@ class FactorizedSystem:
     assembled here once, and A_full = K + lam M (+ beta R) on the full node
     set is built from them.  For Dirichlet problems the boundary rows/columns
     are eliminated and the solution is re-embedded with exact zeros on the
-    boundary.  Up to _DIRECT_LIMIT free nodes, A is factored as the symmetric
-    positive definite matrix it is, under `order`, the nested-dissection
-    ordering of the free nodes (from the coordinates and M's pattern; when
-    every node is free, the load factor uses the same array); larger systems
-    use diagonally preconditioned CG and have no order.  Instances are
-    immutable after construction and safe for repeated backsolves.
+    boundary.  `order` is the nested-dissection ordering of all nodes (from
+    the coordinates and M's pattern), the one the load factor also uses.  A
+    is factored, at every size, as the symmetric positive definite matrix it
+    is, under that ordering with the Dirichlet nodes dropped and the rest
+    renumbered to free positions; with every node free that equals `order`.
+    Instances are immutable after construction and safe for repeated
+    backsolves.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
@@ -334,12 +329,10 @@ class FactorizedSystem:
         self.mesh = mesh
         self.bc = bc
         self.lam = float(lam)
+        is_free = np.ones(mesh.n_nodes, dtype=bool)
         if bc.kind == DIRICHLET:
-            mask = np.ones(mesh.n_nodes, dtype=bool)
-            mask[mesh.boundary_nodes()] = False
-            self.free = np.nonzero(mask)[0]
-        else:
-            self.free = np.arange(mesh.n_nodes)
+            is_free[mesh.boundary_nodes()] = False
+        self.free = np.nonzero(is_free)[0]
         self.n_free = self.free.size
         if self.n_free == 0:
             raise ValueError("no free degrees of freedom (Dirichlet on a boundary-only mesh)")
@@ -351,17 +344,13 @@ class FactorizedSystem:
             A = A + bc.beta * self.R
         self.A_full = A.tocsr()
         self.A = self.restrict(self.A_full).tocsc()
-        if self.n_free <= _DIRECT_LIMIT:
-            # M's pattern is the element graph.  A = K + lam M (+ beta R) is
-            # SPD because lam > 0, beta > 0 and every element measure is
-            # positive, all checked before this.
-            self.order = nested_dissection(mesh, self.free, self.M)
-            self._lu = _ordered_splu(self.A, self.order)
-            self._diag = None
-        else:
-            self.order = None
-            self._lu = None
-            self._diag = self.A.diagonal()
+        # M's pattern is the element graph.  A = K + lam M (+ beta R) is SPD
+        # because lam > 0, beta > 0 and every element measure is positive,
+        # all checked before this.
+        self.order = nested_dissection(mesh, self.M)
+        # A's ordering: each free node in `order`, named by its free position
+        self._free_order = (np.cumsum(is_free) - 1)[self.order[is_free[self.order]]]
+        self._lu = _ordered_splu(self.A, self._free_order)
 
     def restrict(self, S: sp.sparray) -> sp.sparray:
         """S on the free rows and columns; S itself when every node is free."""
@@ -370,20 +359,15 @@ class FactorizedSystem:
         return S[np.ix_(self.free, self.free)]
 
     def solve_free(self, b_free: np.ndarray) -> np.ndarray:
-        """Solve on free dofs; accepts a vector or a matrix of columns."""
-        if self._lu is not None:
-            return self._solve_ordered(b_free)
-        if b_free.ndim == 1:
-            return self._cg_one(b_free)
-        return np.column_stack([self._cg_one(col) for col in b_free.T])
+        """Solve on free dofs; accepts a vector or a matrix of columns.
 
-    def _solve_ordered(self, b: np.ndarray) -> np.ndarray:
-        # Each block of _SOLVE_CHUNK columns is gathered into the factor's
-        # ordering in the output's own columns, solved, and scattered back,
-        # so no permuted copy of a wide b is made.
-        cols = b.reshape(b.shape[0], -1)
+        Each block of _SOLVE_CHUNK columns is gathered into the factor's
+        ordering in the output's own columns, solved, and scattered back, so
+        no permuted copy of a wide b_free is made.
+        """
+        cols = b_free.reshape(b_free.shape[0], -1)
         x = np.empty(cols.shape, order="F")
-        order = self.order
+        order = self._free_order
         for start in range(0, cols.shape[1], _SOLVE_CHUNK):
             stop = start + _SOLVE_CHUNK
             block = x[:, start:stop]
@@ -391,15 +375,7 @@ class FactorizedSystem:
             # default mode it lets take write into block without a buffer.
             np.take(cols[:, start:stop], order, axis=0, out=block, mode="clip")
             x[order, start:stop] = self._lu.solve(block)
-        return x.reshape(b.shape)
-
-    def _cg_one(self, b: np.ndarray) -> np.ndarray:
-        precond = sp.diags_array(1.0 / self._diag)
-        x, info = cg(self.A, b, rtol=_CG_RTOL, atol=0.0, M=precond)
-        if info != 0:
-            res = np.linalg.norm(self.A @ x - b) / max(np.linalg.norm(b), 1e-300)
-            raise RuntimeError(f"CG did not converge (info={info}, residual={res:.3e})")
-        return x
+        return x.reshape(b_free.shape)
 
     def solve(self, load: np.ndarray) -> np.ndarray:
         """Full-length solution coefficients for a full-length dual load."""

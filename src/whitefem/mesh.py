@@ -75,14 +75,14 @@ class Mesh:
     @cached_property
     def h(self) -> float:
         """Maximum element diameter, computed once: the coordinates are frozen."""
-        pts = self.nodes[self.elements]
+        x = self.nodes[:, 0][self.elements]
         if self.dim == 1:
-            return float(np.abs(pts[:, 1, 0] - pts[:, 0, 0]).max())
-        # max pairwise edge length per triangle
-        d01 = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-        d12 = np.linalg.norm(pts[:, 2] - pts[:, 1], axis=1)
-        d20 = np.linalg.norm(pts[:, 0] - pts[:, 2], axis=1)
-        return float(np.maximum(np.maximum(d01, d12), d20).max())
+            return float(np.abs(x[:, 1] - x[:, 0]).max())
+        # the longest edge; sqrt is monotone, so one sqrt of the largest
+        # squared length gives the same value as the largest length
+        y = self.nodes[:, 1][self.elements]
+        dx, dy = x - x[:, [1, 2, 0]], y - y[:, [1, 2, 0]]
+        return float(np.sqrt((dx * dx + dy * dy).max()))
 
     @cached_property
     def element_measures(self) -> np.ndarray:

@@ -11,10 +11,10 @@ the consistent mass matrix (no mass lumping: lumping would perturb the load
 covariance by O(h^2) and contaminate measured convergence rates).  F is the
 sparse Cholesky factor of M under the geometric nested-dissection ordering
 of all nodes (fem.nested_dissection), with its rows put back in node order.
-For Neumann and Robin problems that is the system factor's own ordering
-array.  Any exact square root of M gives the same load law, and this one has
-a fraction of the natural-order factor's fill.  A load consumes one normal
-per node.
+That is the system factor's own ordering array, for every boundary
+condition.  Any exact square root of M gives the same load law, and this one
+has a fraction of the natural-order factor's fill.  A load consumes one
+normal per node.
 """
 
 from __future__ import annotations
@@ -96,17 +96,17 @@ class LoadSampler:
     """Factor the mass matrix once, then draw many load vectors against it.
 
     `chol` is the sparse square root F of M (F F^T = M, one column per
-    normal) from `sparse_cholesky` under `order`, a nested-dissection
-    ordering of all nodes.  A caller that already has one, such as the
-    system factor's ordering when every node is free, passes it; otherwise
-    it is computed here from the mesh and M's pattern.
+    normal) from `sparse_cholesky` under `order`, the nested-dissection
+    ordering of all nodes.  DiscreteSolutionOperator passes its system's
+    `order`; a standalone sampler computes the same array here from the mesh
+    and M's pattern.
     """
 
     def __init__(self, mesh: Mesh, M: sp.sparray, order: np.ndarray | None = None):
         self.mesh = mesh
         self.M = M
         if order is None:
-            order = nested_dissection(mesh, np.arange(mesh.n_nodes), M)
+            order = nested_dissection(mesh, M)
         self.chol = sparse_cholesky(M, order)
 
     def sample(self, stream: GaussianStream) -> LoadSample:
@@ -117,11 +117,6 @@ class LoadSampler:
         """n load vectors as columns, consuming normals in path order."""
         z = stream.normals(n * self.mesh.n_nodes).reshape(n, self.mesh.n_nodes).T
         return self.chol @ z
-
-    def from_normals(self, z: np.ndarray, stream: GaussianStream) -> LoadSample:
-        """Load with injected coordinates (testing hook for zero/scaled noise)."""
-        return LoadSample(self.mesh, self.chol @ np.asarray(z, dtype=np.float64),
-                          stream.seed, stream.stream_id)
 
 
 def sample_spectral_truncation(basis: EigenBasis, m: int, stream: GaussianStream) -> SpectralField:

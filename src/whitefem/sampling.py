@@ -48,9 +48,7 @@ class DiscreteSolutionOperator:
         self.lam = float(lam)
         self.system = FactorizedSystem(mesh, bc, lam)
         self.K, self.M, self.R = self.system.K, self.system.M, self.system.R
-        # With every node free, A and M have one pattern and share one ordering.
-        shared = self.system.order if self.system.n_free == mesh.n_nodes else None
-        self.sampler = LoadSampler(mesh, self.M, shared)
+        self.sampler = LoadSampler(mesh, self.M, self.system.order)
         self.M_free = self.system.restrict(self.M).tocsr()
         self._last_probe = None  # [key, W, G or None] of the last point set
         self._check_factorization()
@@ -104,11 +102,6 @@ class DiscreteSolutionOperator:
 
     def path_from_load(self, load: LoadSample) -> FemFunction:
         return FemFunction(self.mesh, self.system.solve(load.b))
-
-    def path_from_normals(self, z: np.ndarray) -> FemFunction:
-        """Path for injected noise coordinates (exactly linear in z)."""
-        load = self.sampler.from_normals(z, GaussianStream(0, 0))
-        return self.path_from_load(load)
 
 
 def sample_path_with_load(op: DiscreteSolutionOperator, stream: GaussianStream):

@@ -109,10 +109,6 @@ class IntervalEigenBasis:
         w = self.omega[sl, None]
         return -self.amp_cos[sl, None] * w * np.sin(arg) + self.amp_sin[sl, None] * w * np.cos(arg)
 
-    def evaluate_grad(self, points, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Gradients, shape (stop - start, n_points, 1)."""
-        return self.evaluate_deriv(points, start, stop)[:, :, None]
-
     def sup_sq_bound(self) -> float:
         """Upper bound for sup_k ||e_k||_inf^2 over ALL modes, included or not."""
         amp_sq = self.amp_cos**2 + self.amp_sin**2
@@ -207,18 +203,6 @@ class RectangleEigenBasis:
         ex = self.basis_x.evaluate(xs)[self.ix[sl]]
         ey = self.basis_y.evaluate(ys)[self.iy[sl]]
         return ex[:, jx] * ey[:, jy]
-
-    def evaluate_grad(self, points, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Gradients, shape (stop - start, n_points, 2)."""
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        ex = self.basis_x.evaluate(pts[:, 0])
-        ey = self.basis_y.evaluate(pts[:, 1])
-        dex = self.basis_x.evaluate_deriv(pts[:, 0])
-        dey = self.basis_y.evaluate_deriv(pts[:, 1])
-        sl = slice(start, stop)
-        gx = dex[self.ix[sl]] * ey[self.iy[sl]]
-        gy = ex[self.ix[sl]] * dey[self.iy[sl]]
-        return np.stack([gx, gy], axis=-1)
 
     def sup_sq_bound(self) -> float:
         return self.basis_x.sup_sq_bound() * self.basis_y.sup_sq_bound()

@@ -12,7 +12,7 @@ from whitefem.convergence import (
     truncation_error_closed_form,
 )
 import whitefem.convergence as convergence
-from whitefem.fem import dirichlet, neumann, robin
+from whitefem.fem import dirichlet, element_gradients, neumann, robin
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
 from whitefem.noise import GaussianStream
 from whitefem.sampling import DiscreteSolutionOperator
@@ -53,11 +53,9 @@ class TestDeterministicFemError:
         dom = Rectangle(np.pi, np.pi)
         basis = eigenpairs(dom, neumann(), 64)
         ctx = _LevelContext(mesh, neumann(), 1.0)
-
-        def exact_apply(nodal_modes):  # (n_nodes, B): exact solve at the nodes
-            return nodal_modes / (basis.mu[None, :64] + 1.0)
-
-        errs = ctx.mode_errors_l2(basis, 1.0, 0, 64, fem_apply=lambda v: exact_apply(v))
+        # the exact solve at the nodes, in place of the FEM solve
+        exact = basis.evaluate(mesh.nodes, 0, 64).T / (basis.mu[None, :64] + 1.0)
+        errs = ctx.l2_errors(basis, 1.0, 0, 64, exact)
         # remaining error is only P1 interpolation of the exact solution
         raw = ctx.mode_errors_l2(basis, 1.0, 0, 64)
         assert (errs <= raw + 1e-15).all()
@@ -110,16 +108,18 @@ class TestDeterministicFemError:
             deterministic_fem_error(dom, neumann(), 1.0, -0.1, [build_rectangle_mesh(1, 1, 2, 2)])
 
 
-def _unchunked_errors(ctx, basis, lam, k0, k1, load_rule, fem_apply=None):
-    """The error kernel as one formula over all quadrature points at once."""
+def _unchunked_errors(ctx, basis, lam, k0, k1, load_rule=None, sols=None):
+    """The error kernel as one formula over all quadrature points at once.
+
+    load_rule selects the FEM solve; without one, the coefficients sols are
+    measured as given.
+    """
     m_el, q = ctx.qweights.shape
     exact = basis.evaluate(ctx.flat_points, k0, k1).reshape(k1 - k0, m_el, q)
     pts = ctx.mesh.nodes[:, 0] if ctx.mesh.dim == 1 else ctx.mesh.nodes
-    if fem_apply is not None:
-        sols = fem_apply(basis.evaluate(pts, k0, k1).T)
-    elif load_rule == "interpolation":
+    if load_rule == "interpolation":
         sols = ctx.system.solve(ctx.M @ basis.evaluate(pts, k0, k1).T)
-    else:
+    elif load_rule == "quadrature":
         loads = np.zeros((ctx.mesh.n_nodes, k1 - k0))
         local = np.einsum("qk,mq,Bmq->mkB", ctx.bary, ctx.qweights, exact)
         np.add.at(loads, ctx.mesh.elements, local)
@@ -150,13 +150,15 @@ class TestChunkedErrorKernel:
         lam, k0, k1 = 1.3, 20, 140
         basis = eigenpairs(domain, bc, 160)
         ctx = _LevelContext(mesh, bc, lam)
-        fem_apply = None
         if load_rule == "fem_apply":
-            def fem_apply(nodal):  # exact solve at the nodes
-                return nodal / (basis.mu[None, k0:k1] + lam)
-        rule = "interpolation" if fem_apply else load_rule
-        got = ctx.mode_errors_l2(basis, lam, k0, k1, fem_apply=fem_apply, load_rule=rule)
-        want = _unchunked_errors(ctx, basis, lam, k0, k1, rule, fem_apply)
+            # the exact solve at the nodes, in place of the FEM solve
+            pts = mesh.nodes[:, 0] if mesh.dim == 1 else mesh.nodes
+            sols = basis.evaluate(pts, k0, k1).T / (basis.mu[None, k0:k1] + lam)
+            got = ctx.l2_errors(basis, lam, k0, k1, sols)
+            want = _unchunked_errors(ctx, basis, lam, k0, k1, sols=sols)
+        else:
+            got = ctx.mode_errors_l2(basis, lam, k0, k1, load_rule=load_rule)
+            want = _unchunked_errors(ctx, basis, lam, k0, k1, load_rule)
         assert np.all(want > 0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -301,6 +303,37 @@ class TestUpperBound:
         s1 = h1_error_sup_estimate(dom, neumann(), 1.0, m1)
         s2 = h1_error_sup_estimate(dom, neumann(), 1.0, m2)
         assert s2 < s1
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_sup_estimate_matches_all_at_once_formula(self, case):
+        domain, bc, make_mesh = KERNEL_CASES[case]
+        mesh = make_mesh()
+        got = h1_error_sup_estimate(domain, bc, 1.3, mesh, n_loads=90)
+        want = _all_at_once_h1_sup(domain, bc, 1.3, mesh, 90)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _all_at_once_h1_sup(domain, bc, lam, mesh, n_loads):
+    """h1_error_sup_estimate as one formula over all quadrature points, with
+    every mode's gradient evaluated at every point."""
+    basis = eigenpairs(domain, bc, n_loads)
+    ctx = _LevelContext(mesh, bc, lam)
+    sols = ctx.solutions(basis, 0, n_loads, load_rule="quadrature")
+    val_part = ctx.l2_errors(basis, lam, 0, n_loads, sols)
+    pts = ctx.flat_points
+    if mesh.dim == 1:
+        grad = basis.evaluate_deriv(pts[:, 0])[:, :, None]
+    else:
+        bx, by = basis.basis_x, basis.basis_y
+        ex, ey = bx.evaluate(pts[:, 0])[basis.ix], by.evaluate(pts[:, 1])[basis.iy]
+        dex, dey = bx.evaluate_deriv(pts[:, 0])[basis.ix], by.evaluate_deriv(pts[:, 1])[basis.iy]
+        grad = np.stack([dex * ey, ex * dey], axis=-1)
+    m_el, q = ctx.qweights.shape
+    exact_grad = (grad / (basis.mu[:, None, None] + lam)).reshape(n_loads, m_el, q, mesh.dim)
+    fem_grad = np.einsum("mkd,mkB->mdB", element_gradients(mesh), sols[mesh.elements])
+    gdiff = np.moveaxis(exact_grad, 0, -1) - fem_grad[:, None, :, :]  # (m, q, d, B)
+    grad_part = np.einsum("mq,mqdB->B", ctx.qweights, gdiff * gdiff)
+    return float(np.max(val_part + grad_part))
 
 
 class TestMcDeterministicAgreement:

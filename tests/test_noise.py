@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtri
 
 import whitefem.fem as fem
+import whitefem.noise as noise
 from whitefem.fem import FemFunction, assemble_mass, nested_dissection, sparse_cholesky
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, read_mesh, refine_uniform
 from whitefem.noise import (
@@ -176,23 +177,38 @@ class TestLoadFactor:
         assert F.shape == (m.n_nodes, m.n_nodes)
         assert np.abs((F @ F.T - M).toarray()).max() <= 1e-14 * np.abs(M).max()
 
-    @pytest.mark.parametrize("bc", [neumann(), robin(0.7), dirichlet()], ids=["neumann", "robin", "dirichlet"])
-    @pytest.mark.parametrize("direct", [True, False], ids=["direct", "cg"])
-    def test_nested_dissection_of_all_nodes(self, bc, direct, monkeypatch):
-        # With every node free the system's ordering array itself is reused;
-        # otherwise the sampler orders all nodes with the same function.
+    # The ids name the direct factor, the operator's only route.
+    @pytest.mark.parametrize("bc", [neumann(), robin(0.7), dirichlet()],
+                             ids=["direct-neumann", "direct-robin", "direct-dirichlet"])
+    def test_nested_dissection_of_all_nodes(self, bc):
+        # The load factor is M's Cholesky factor under the system's own
+        # ordering array, which orders all nodes, for every condition.
         m = refine_uniform(build_rectangle_mesh(2.0, 1.0, 9, 5))
-        if not direct:
-            monkeypatch.setattr(fem, "_DIRECT_LIMIT", 0)
         op = DiscreteSolutionOperator(m, bc, 1.0)
-        order = nested_dissection(m, np.arange(m.n_nodes), op.M)
-        want = sparse_cholesky(op.M, order)
+        order = nested_dissection(m, op.M)
+        assert np.array_equal(op.system.order, order)
+        want = sparse_cholesky(op.M, op.system.order)
         F = op.sampler.chol
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(F, attr), getattr(want, attr))
-        if direct and bc.kind != "dirichlet":
-            assert np.array_equal(op.system.order, order)
+        standalone = LoadSampler(m, op.M).chol
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(standalone, attr), getattr(want, attr))
         assert np.abs((F @ F.T - op.M).toarray()).max() <= 1e-14 * np.abs(op.M).max()
+
+    @pytest.mark.parametrize("bc", [neumann(), robin(0.7), dirichlet()], ids=["neumann", "robin", "dirichlet"])
+    def test_one_ordering_per_operator(self, bc, monkeypatch):
+        calls = []
+
+        def counted(mesh, graph):
+            calls.append(mesh.n_nodes)
+            return nested_dissection(mesh, graph)
+
+        monkeypatch.setattr(fem, "nested_dissection", counted)
+        monkeypatch.setattr(noise, "nested_dissection", counted)
+        m = refine_uniform(build_rectangle_mesh(2.0, 1.0, 9, 5))
+        DiscreteSolutionOperator(m, bc, 1.0)
+        assert calls == [m.n_nodes]
 
 
 class TestSpectralTruncation:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-import whitefem.fem as fem
 from whitefem.convergence import holder_modulus
 from whitefem.fem import dirichlet, neumann, point_vectors, robin
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
-from whitefem.noise import GaussianStream, LoadSampler
+from whitefem.noise import GaussianStream, LoadSample, LoadSampler
 from whitefem.sampling import (
     DiscreteSolutionOperator,
     exact_covariances,
@@ -33,7 +32,8 @@ def neumann_op():
 
 class TestSamplePath:
     def test_zero_noise_gives_zero_path(self, neumann_op):
-        path = neumann_op.path_from_normals(np.zeros(neumann_op.mesh.n_nodes))
+        z = np.zeros(neumann_op.mesh.n_nodes)
+        path = neumann_op.path_from_load(LoadSample(neumann_op.mesh, neumann_op.sampler.chol @ z, 0, 0))
         assert np.array_equal(path.coefficients, np.zeros(neumann_op.mesh.n_nodes))
 
     def test_fixed_seed_reproducible(self, neumann_op):
@@ -44,8 +44,8 @@ class TestSamplePath:
 
     def test_linear_in_noise(self, neumann_op):
         z = GaussianStream(3, 0).normals(neumann_op.mesh.n_nodes)
-        one = neumann_op.path_from_normals(z)
-        two = neumann_op.path_from_normals(2.0 * z)
+        one, two = (neumann_op.path_from_load(LoadSample(neumann_op.mesh, neumann_op.sampler.chol @ w, 0, 0))
+                    for w in (z, 2.0 * z))
         assert np.array_equal(two.coefficients, 2.0 * one.coefficients)
 
     def test_operators_come_from_the_system(self):
@@ -285,20 +285,3 @@ class TestProbe:
         fit = holder_modulus(neumann_op, pairs)
         assert fit.alpha == pytest.approx(coef[0] / 2.0, rel=1e-10)
         assert fit.c == pytest.approx(np.exp(coef[1]), rel=1e-10)
-
-    def test_cg_branch(self, monkeypatch):
-        mesh = build_rectangle_mesh(1.0, 1.0, 6, 6)
-        points = [(0.3, 0.4), (0.75, 0.6)]
-        direct = DiscreteSolutionOperator(mesh, dirichlet(), 1.0)
-        monkeypatch.setattr(fem, "_DIRECT_LIMIT", 0)
-        op = DiscreteSolutionOperator(mesh, dirichlet(), 1.0)
-        assert op.system._lu is None
-        W, G = op.probe(points), op.point_functionals(points)
-        assert op.probe(points) is W and op.point_functionals(points) is G
-        assert not G.flags.writeable and not W.flags.writeable
-        np.testing.assert_allclose(G, direct.point_functionals(points), rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(exact_covariances(op, points),
-                                   written_out_covariances(op, points), rtol=1e-6)
-        rep = monte_carlo_moments(op, points, 40, GaussianStream(3, 0))
-        mean, cov = one_batch_moments(op, points, 40, GaussianStream(3, 0))
-        assert np.array_equal(rep.covariance, cov)
