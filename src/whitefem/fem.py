@@ -15,6 +15,7 @@ factor of M under the same ordering, through the same SuperLU route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +31,7 @@ ROBIN = "robin"
 _ND_LEAF = 32
 # Columns per block of a multi-column direct solve.
 _SOLVE_CHUNK = 32
-_RESIDUAL_TOL = 1e-10
+_BACKWARD_ERROR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -364,17 +365,27 @@ class FactorizedSystem:
         Each block of _SOLVE_CHUNK columns is gathered into the factor's
         ordering in the output's own columns, solved, and scattered back, so
         no permuted copy of a wide b_free is made.
+
+        The permuted A is symmetric, so A^T x = b is the same system, and a
+        single column is solved by SuperLU's transposed sweep: it reads U's
+        columns as dot products (gathers) where the normal sweep scatters
+        updates.  For one column that took 0.81-0.92 of the normal sweep's
+        time on meshes of 289 to 66,049 nodes, and agreed with it to 1e-15
+        relative.  From two columns on the normal sweep is the faster one (the
+        transposed one took 1.24x its time at 6 columns, 1.3x at 32 and 256,
+        2.2x at 32 columns of 66,049 unknowns), so wider blocks keep it.
         """
         cols = b_free.reshape(b_free.shape[0], -1)
         x = np.empty(cols.shape, order="F")
         order = self._free_order
+        trans = "T" if cols.shape[1] == 1 else "N"
         for start in range(0, cols.shape[1], _SOLVE_CHUNK):
             stop = start + _SOLVE_CHUNK
             block = x[:, start:stop]
             # order is a permutation, so "clip" changes no index; unlike the
             # default mode it lets take write into block without a buffer.
             np.take(cols[:, start:stop], order, axis=0, out=block, mode="clip")
-            x[order, start:stop] = self._lu.solve(block)
+            x[order, start:stop] = self._lu.solve(block, trans=trans)
         return x.reshape(b_free.shape)
 
     def solve(self, load: np.ndarray) -> np.ndarray:
@@ -394,19 +405,36 @@ class FactorizedSystem:
             return float(np.linalg.norm(self.A @ c_free))
         return float(np.linalg.norm(self.A @ c_free - b_free) / bnorm)
 
+    @cached_property
+    def _norm_inf(self) -> float:
+        """||A||_inf, the largest absolute row sum of the reduced A."""
+        return float(abs(self.A).sum(axis=1).max())
+
+    def backward_error(self, c_free: np.ndarray, b_free: np.ndarray) -> float:
+        """Normwise backward error ||A c - b|| / (||A|| ||c|| + ||b||) of a solve.
+
+        Vector norms are Euclidean and ||A|| is ||A||_inf, which bounds
+        ||A||_2 for the symmetric A.  A backward-stable solve keeps this near
+        machine precision at every mesh size, while ||A c - b|| / ||b|| grows
+        like 1/h^2 for smooth loads, as ||A|| ||c|| / ||b|| does.
+        """
+        r = np.linalg.norm(self.A @ c_free - b_free)
+        scale = self._norm_inf * np.linalg.norm(c_free) + np.linalg.norm(b_free)
+        return float(r / scale) if scale > 0 else 0.0
+
     def solve_checked(self, load: np.ndarray) -> FemFunction:
         """Ritz-Galerkin solution for a dual-coordinate load vector.
 
-        The relative residual of the reduced system is checked against 1e-10;
-        failure raises RuntimeError with the observed value.
+        The normwise backward error of the reduced solve is checked against
+        1e-10; failure raises RuntimeError with the observed value.
         """
         load = np.asarray(load, dtype=np.float64)
         if load.shape != (self.mesh.n_nodes,):
             raise ValueError(f"load vector length {load.shape} != node count {self.mesh.n_nodes}")
         c = self.solve(load)
-        res = self.residual(c[self.free], load[self.free])
-        if res > _RESIDUAL_TOL:
-            raise RuntimeError(f"solver residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e}")
+        err = self.backward_error(c[self.free], load[self.free])
+        if err > _BACKWARD_ERROR_TOL:
+            raise RuntimeError(f"solver backward error {err:.3e} exceeds {_BACKWARD_ERROR_TOL:.0e}")
         return FemFunction(self.mesh, c)
 
 
@@ -425,19 +453,16 @@ def locate_points(mesh: Mesh, points) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError for the first point that lies outside the closed
     domain.  On a shared face any containing element gives the same
     interpolated value, so the first match is taken.  The per-element data
-    are computed once for all points.
+    are computed once per mesh (Mesh.locator).
     """
     pts = [np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in points]
     for p in pts:
         if p.shape != (mesh.dim,):
             raise ValueError(f"point must have {mesh.dim} coordinates, got {p.shape}")
-    tol = 1e-12 * max(mesh.h, 1.0)
-    corners = mesh.nodes[mesh.elements]
     found = np.empty(len(pts), dtype=np.int64)
     weights = np.empty((len(pts), mesh.dim + 1))
     if mesh.dim == 1:
-        left, right = corners[:, 0, 0].copy(), corners[:, 1, 0].copy()
-        lo, hi = left - tol, right + tol
+        left, right, lo, hi = mesh.locator
         for k, p in enumerate(pts):
             x = p[0]
             idx = np.nonzero((x >= lo) & (x <= hi))[0]
@@ -448,9 +473,7 @@ def locate_points(mesh: Mesh, points) -> tuple[np.ndarray, np.ndarray]:
             t = min(max(t, 0.0), 1.0)
             weights[k] = 1.0 - t, t
         return mesh.elements[found], weights
-    (ax, ay), (bx, by), (cx, cy) = (corners[:, i].T.copy() for i in range(3))
-    det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-    bary_tol = tol / max(np.sqrt(np.abs(det).min()), tol)
+    ax, ay, bx, by, cx, cy, det, bary_tol = mesh.locator
     for k, p in enumerate(pts):
         w1 = ((bx - p[0]) * (cy - p[1]) - (cx - p[0]) * (by - p[1])) / det
         w2 = ((cx - p[0]) * (ay - p[1]) - (ax - p[0]) * (cy - p[1])) / det

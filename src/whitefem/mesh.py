@@ -97,6 +97,29 @@ class Mesh:
         meas.setflags(write=False)
         return meas
 
+    @cached_property
+    def locator(self) -> tuple:
+        """Per-element set-up of fem.locate_points, read-only, computed once.
+
+        With tol = 1e-12 max(h, 1): in 1D (left, right, lo, hi), the segment
+        ends and the same ends widened by tol; in 2D (ax, ay, bx, by, cx, cy,
+        det, bary_tol), the corner coordinate columns, twice the signed areas
+        and the barycentric tolerance tol / max(sqrt(min |det|), tol).
+        """
+        tol = 1e-12 * max(self.h, 1.0)
+        corners = self.nodes[self.elements]
+        if self.dim == 1:
+            left, right = corners[:, 0, 0].copy(), corners[:, 1, 0].copy()
+            arrays = (left, right, left - tol, right + tol)
+        else:
+            (ax, ay), (bx, by), (cx, cy) = (corners[:, i].T.copy() for i in range(3))
+            det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+            bary_tol = tol / max(np.sqrt(np.abs(det).min()), tol)
+            arrays = (ax, ay, bx, by, cx, cy, det)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays if self.dim == 1 else (*arrays, bary_tol)
+
     def boundary_nodes(self) -> np.ndarray:
         """Sorted unique indices of nodes lying on boundary facets."""
         return np.unique(self.facet_nodes)

@@ -4,7 +4,11 @@ Normals come from the inverse normal CDF applied to a counter-based Philox
 generator, so a stream is a pure function of (seed, stream_id, counter): a
 counter offset selects any run of a stream without drawing what comes before
 it, and sequences are stable across platforms and runs.  This generation
-scheme is frozen; golden tests pin exact output values.
+scheme is frozen; golden tests pin exact output values.  Normal k of a stream
+is ndtri((m + 1/2) 2^-53) for m the top 53 bits of its k-th 64-bit Philox
+word.  NumPy's Generator.random turns the same words into m 2^-53, and
+adding 2^-54 to that rounds exactly as (m + 1/2) 2^-53 does, so each draw is
+written straight into its float64 destination and converted there.
 
 Load vectors b_i = W(phi_i) are sampled as b = F z with F F^T = M exactly, M
 the consistent mass matrix (no mass lumping: lumping would perturb the load
@@ -33,19 +37,19 @@ _MASK64 = (1 << 64) - 1
 _OUTPUTS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter tick
 
 
-def _normals_from_raw(raw: np.ndarray) -> np.ndarray:
-    """Standard normals from raw 64-bit words, by ndtri of their top 53 bits.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
-    The word's top 53 bits m map to u = (m + 1/2) 2^-53, which rounds to
-    exactly 1.0 for m = 2^53 - 1 alone; that u is clamped to the largest
-    double below 1 so ndtri stays finite.  No other value changes.  Every
-    step after the shift works in place on one float array; raw is consumed.
+
+def _normals_from_uniform(u: np.ndarray) -> np.ndarray:
+    """Standard normals, in place, from the uniforms u = m 2^-53 of 53-bit m.
+
+    u becomes ndtri((m + 1/2) 2^-53): adding 2^-54 to m 2^-53 rounds exactly
+    as (m + 1/2) 2^-53 does, because the scale is a power of two.  That value
+    rounds to 1.0 for m = 2^53 - 1 alone and is clamped to the largest double
+    below 1, so ndtri stays finite.  No other value changes.
     """
-    raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+    u += 2.0**-54
+    np.minimum(u, _BELOW_ONE, out=u)
     return ndtri(u, out=u)
 
 
@@ -62,18 +66,28 @@ class GaussianStream:
     stream_id: int = 0
     counter: int = 0
 
-    def normals(self, n: int) -> np.ndarray:
-        """Draw n standard normals and advance the counter by n."""
+    def normals(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Draw n standard normals and advance the counter by n.
+
+        With out, a C-contiguous float64 array of n elements, the normals are
+        written there and out is returned; otherwise a new array is.
+        """
         if n < 0:
             raise ValueError(f"cannot draw {n} normals")
+        if out is None:
+            out = np.empty(n)
+        elif out.size != n:
+            raise ValueError(f"out holds {out.size} values, not {n}")
         if n == 0:
-            return np.empty(0)
+            return out
         block, offset = divmod(self.counter, _OUTPUTS_PER_BLOCK)
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         ctr = np.array([block, 0, 0, 0], dtype=np.uint64)
-        raw = np.random.Philox(key=key, counter=ctr).random_raw(offset + n)[offset:]
+        bits = np.random.Philox(key=key, counter=ctr)
+        bits.random_raw(offset)  # the words of this block drawn before
+        np.random.Generator(bits).random(out=out)
         self.counter += n
-        return _normals_from_raw(raw)
+        return _normals_from_uniform(out)
 
 
 @dataclass(frozen=True)

@@ -123,15 +123,17 @@ def path_point_values(G: np.ndarray, n: int, stream: GaussianStream) -> np.ndarr
     """Values (n, p) at G's points of n paths drawn from stream.
 
     Path i takes the i-th run of n_nodes normals of the stream.  Normals are
-    drawn _BATCH paths at a time and contracted with G while they are still
-    in cache; a path's values do not depend on the batch it falls in.
+    drawn _BATCH paths at a time into one buffer and contracted with G while
+    they are still in cache; a path's values do not depend on the batch it
+    falls in.
     """
     n_nodes = G.shape[0]
     values = np.empty((n, G.shape[1]))
+    Z = np.empty((min(_BATCH, n), n_nodes))
     for start in range(0, n, _BATCH):
         count = min(_BATCH, n - start)
-        Z = stream.normals(count * n_nodes).reshape(count, n_nodes)
-        values[start : start + count] = point_values(Z, G)
+        stream.normals(count * n_nodes, out=Z[:count])
+        values[start : start + count] = point_values(Z[:count], G)
     return values
 
 

@@ -257,11 +257,53 @@ class TestSolve:
 
     def test_fine_neumann_square_passes_the_residual_check(self):
         # 263,169 nodes: the direct factor serves every size, and its solve
-        # passes the 1e-10 residual check that solve_checked applies.
+        # passes the 1e-10 backward-error check that solve_checked applies.
         m = build_rectangle_mesh(np.pi, np.pi, 512, 512)
         assert m.n_nodes == 263_169
         u = solve_deterministic(m, neumann(), 1.0, assemble_mass(m) @ np.ones(m.n_nodes))
         assert np.abs(u.coefficients - 1.0).max() < 1e-9
+
+    def test_small_square_smooth_load_passes_the_backward_error_check(self):
+        # h = 1/512: ||A c - b|| / ||b|| is about 2e-10 here, above the bound,
+        # while the backward error is about 1e-16 and the solve is accurate.
+        m = build_rectangle_mesh(0.125, 0.125, 64, 64)
+        sysm = FactorizedSystem(m, neumann(), 1.0)
+        b = assemble_mass(m) @ np.ones(m.n_nodes)
+        u = sysm.solve_checked(b)
+        assert sysm.residual(u.coefficients, b) > 1e-10
+        assert sysm.backward_error(u.coefficients, b) < 1e-15
+        assert np.abs(u.coefficients - 1.0).max() < 1e-9
+
+    def test_perturbed_solution_is_refused(self, monkeypatch):
+        m = build_rectangle_mesh(0.125, 0.125, 64, 64)
+        sysm = FactorizedSystem(m, neumann(), 1.0)
+        b = assemble_mass(m) @ np.ones(m.n_nodes)
+        c = sysm.solve(b)
+        wrong = c.copy()
+        wrong[m.n_nodes // 2] += 1e-6
+        assert sysm.backward_error(wrong, b) > 1e-10
+        monkeypatch.setattr(sysm, "solve", lambda load: wrong)
+        with pytest.raises(RuntimeError, match="backward error .* exceeds 1e-10"):
+            sysm.solve_checked(b)
+
+    @pytest.mark.parametrize("case", ["neumann", "robin", "dirichlet", "interval"])
+    def test_one_column_matches_the_normal_sweep(self, case):
+        rect = refine_uniform(build_rectangle_mesh(np.pi, 2.0, 9, 6))
+        mesh, bc = {
+            "neumann": (rect, neumann()),
+            "robin": (rect, robin(0.8)),
+            "dirichlet": (rect, dirichlet()),
+            "interval": (build_interval_mesh(0.0, 2.0, 150), robin(1.5)),
+        }[case]
+        sysm = FactorizedSystem(mesh, bc, 0.9)
+        b = np.random.default_rng(13).standard_normal(sysm.n_free)
+        # two columns take the normal sweep, one the transposed sweep
+        normal = sysm.solve_free(np.column_stack([b, b]))
+        one = sysm.solve_free(b)
+        assert np.abs(one - normal[:, 0]).max() <= 1e-13 * np.abs(normal[:, 0]).max()
+        direct = np.empty(sysm.n_free)
+        direct[sysm._free_order] = sysm._lu.solve(b[sysm._free_order], trans="T")
+        assert np.array_equal(one, direct)
 
     @pytest.mark.parametrize("bc", [neumann(), robin(0.8)])
     def test_all_free_solve_skips_the_copy(self, bc):
@@ -340,7 +382,7 @@ class TestNestedDissectionFactor:
         direct = fem._ordered_splu(sysm.A, want)
         b = np.random.default_rng(8).standard_normal(sysm.n_free)
         x = np.empty(sysm.n_free)
-        x[want] = direct.solve(b[want])
+        x[want] = direct.solve(b[want], trans="T")
         assert np.array_equal(sysm.solve_free(b), x)
 
     @pytest.mark.parametrize("case", ["rectangle-neumann", "rectangle-dirichlet", "rectangle-robin",
@@ -489,6 +531,27 @@ class TestLocatePoints:
             one_idx, one_w = point_evaluation(mesh, p)
             assert np.array_equal(idx[k], ref_idx) and np.array_equal(one_idx, ref_idx)
             assert w[k].tobytes() == ref_w.tobytes() == one_w.tobytes()
+
+    @pytest.mark.parametrize("mesh", ["rectangle", "interval"])
+    def test_element_setup_is_cached_once_and_read_only(self, mesh):
+        mesh = {
+            "rectangle": lambda: refine_uniform(build_rectangle_mesh(np.pi, 2.0, 7, 5)),
+            "interval": lambda: build_interval_mesh(-1.0, 2.0, 13),
+        }[mesh]()
+        points = [mesh.nodes[mesh.elements[k]].mean(axis=0) for k in (0, 3, -1)] + [mesh.nodes[4]]
+        assert "locator" not in mesh.__dict__
+        idx, w = locate_points(mesh, points)
+        setup = mesh.__dict__["locator"]
+        for _ in range(2):
+            again_idx, again_w = locate_points(mesh, points)
+            assert np.array_equal(again_idx, idx) and again_w.tobytes() == w.tobytes()
+        assert mesh.locator is setup
+        arrays = [a for a in setup if isinstance(a, np.ndarray)]
+        assert len(arrays) == (4 if mesh.dim == 1 else 7)
+        for a in arrays:
+            assert a.shape == (mesh.n_elements,) and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_first_outside_point_is_reported(self):
         m = build_rectangle_mesh(1.0, 1.0, 2, 2)

@@ -8,7 +8,7 @@ from whitefem.fem import FemFunction, assemble_mass, nested_dissection, sparse_c
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, read_mesh, refine_uniform
 from whitefem.noise import (
     GaussianStream,
-    _normals_from_raw,
+    _normals_from_uniform,
     LoadSampler,
     sample_spectral_truncation,
     white_noise_functional,
@@ -20,6 +20,21 @@ from whitefem.spectral import Interval, Rectangle, SpectralField, eigenpairs, so
 # first three normals of stream (seed=42, stream_id=0); the Philox +
 # inverse-CDF generation scheme is frozen, so these values are permanent
 GOLDEN_NORMALS_42_0 = [0.9161204856345226, -0.8806796243156723, 1.1154015859369766]
+
+
+def _uniforms_of_words(raw):
+    """m 2^-53 for m the top 53 bits of each 64-bit word."""
+    return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _raw_word_normals(seed, stream_id, counter, n):
+    """The frozen scheme spelled out: ndtri((m + 1/2) 2^-53), clamped below 1."""
+    block, offset = divmod(counter, 4)
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    ctr = np.array([block, 0, 0, 0], dtype=np.uint64)
+    raw = np.random.Philox(key=key, counter=ctr).random_raw(offset + n)[offset:]
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
 
 
 class TestGaussianStream:
@@ -57,11 +72,34 @@ class TestGaussianStream:
     def test_top_raw_word_gives_a_finite_normal(self):
         # top 53 bits all ones: (m + 1/2) 2^-53 rounds to 1.0, clamped below 1
         raw = np.array([2**64 - 1, 2**64 - 2**11 - 1], dtype=np.uint64)
-        z = _normals_from_raw(raw)
+        z = _normals_from_uniform(_uniforms_of_words(raw))
         assert np.isfinite(z).all()
         assert z[0] == ndtri(np.nextafter(1.0, 0.0))
         assert z[1] == pytest.approx(8.126, abs=1e-3)
         assert z[0] > z[1]
+
+    def test_generator_uniforms_are_the_top_53_bits(self):
+        # the identity the in-place draw rests on: Generator.random gives
+        # m 2^-53 for m the top 53 bits of the bit generator's next word
+        key = np.array([3, 9], dtype=np.uint64)
+        raw = np.random.Philox(key=key).random_raw(1001)
+        u = np.random.Generator(np.random.Philox(key=key)).random(1001)
+        assert u.tobytes() == _uniforms_of_words(raw).tobytes()
+
+    @pytest.mark.parametrize("counter", [0, 1, 2, 3, 5, 1_000_003])
+    @pytest.mark.parametrize("n", [1, 7, 16 * 16_641])
+    def test_in_place_draw_is_bitwise_the_raw_word_route(self, counter, n):
+        want = _raw_word_normals(11, 4, counter, n)
+        stream = GaussianStream(11, 4, counter)
+        assert stream.normals(n).tobytes() == want.tobytes()
+        assert stream.counter == counter + n
+        out = np.full((1, n), np.nan)
+        got = GaussianStream(11, 4, counter).normals(n, out=out)
+        assert got is out and out.tobytes() == want.tobytes()
+
+    def test_out_must_hold_n_values(self):
+        with pytest.raises(ValueError, match="holds 3 values"):
+            GaussianStream(0, 0).normals(4, out=np.empty(3))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):

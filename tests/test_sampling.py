@@ -4,12 +4,14 @@ import pytest
 from whitefem.convergence import holder_modulus
 from whitefem.fem import dirichlet, neumann, point_vectors, robin
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
+import whitefem.sampling as sampling
 from whitefem.noise import GaussianStream, LoadSample, LoadSampler
 from whitefem.sampling import (
     DiscreteSolutionOperator,
     exact_covariances,
     exact_discrete_covariance,
     monte_carlo_moments,
+    path_point_values,
     point_values,
     sample_path_with_load,
 )
@@ -214,6 +216,19 @@ class TestProbe:
             mean, cov = one_batch_moments(op, points, n, GaussianStream(seed, 5))
             assert np.array_equal(rep.mean, mean)
             assert np.array_equal(rep.covariance, cov)
+
+    @pytest.mark.parametrize("mesh, bc, points", CASES, ids=CASE_IDS)
+    def test_path_values_do_not_depend_on_the_batch_size(self, mesh, bc, points, monkeypatch):
+        op = DiscreteSolutionOperator(mesh, bc, 1.3)
+        G = op.point_functionals(points)
+        runs = []
+        for batch in (1, 7, 16, 64):
+            monkeypatch.setattr(sampling, "_BATCH", batch)
+            stream = GaussianStream(8, 2)
+            runs.append(path_point_values(G, 100, stream))
+            assert stream.counter == 100 * mesh.n_nodes
+        for values in runs[1:]:
+            assert values.tobytes() == runs[0].tobytes()
 
     def test_repeated_point_set_returns_the_same_read_only_arrays(self, neumann_op):
         points = [(0.5, 0.5), (1.2, 2.9)]
