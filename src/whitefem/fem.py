@@ -6,10 +6,11 @@ beta > 0.  Element integrals of P1 products are exact closed forms, so no
 quadrature error enters the assembled operators.  Loads are dual vectors
 b_i = <f, phi_i>, which lets function loads (b = M f_nodal) and sampled
 white-noise loads share one solve path.  That path factors the system matrix
-once, as the symmetric positive definite matrix it is, under one geometric
-nested-dissection ordering of the mesh's nodes, and every backsolve reuses the
-factor.  The white-noise load factor (noise.LoadSampler) is the Cholesky
-factor of M under the same ordering, through the same SuperLU route.
+once, on the first solve, as the symmetric positive definite matrix it is,
+under one geometric nested-dissection ordering of the mesh's nodes, and every
+backsolve reuses the factor.  The white-noise load factor (noise.LoadSampler)
+is the Cholesky factor of M under the same ordering, through the same SuperLU
+route.
 """
 
 from __future__ import annotations
@@ -317,11 +318,13 @@ class FactorizedSystem:
     are eliminated and the solution is re-embedded with exact zeros on the
     boundary.  `order` is the nested-dissection ordering of all nodes (from
     the coordinates and M's pattern), the one the load factor also uses.  A
-    is factored, at every size, as the symmetric positive definite matrix it
-    is, under that ordering with the Dirichlet nodes dropped and the rest
-    renumbered to free positions; with every node free that equals `order`.
-    Instances are immutable after construction and safe for repeated
-    backsolves.
+    is factored once, on the first solve, as the symmetric positive definite
+    matrix it is, under that ordering with the Dirichlet nodes dropped and
+    the rest renumbered to free positions; with every node free that equals
+    `order`.  Every later backsolve reuses that factor.  Because A is not
+    factored here, a caller can build M's load factor first, and the
+    transient copies of that factorization are freed before A's factor
+    exists.  The operators and the ordering do not change after construction.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
@@ -351,7 +354,11 @@ class FactorizedSystem:
         self.order = nested_dissection(mesh, self.M)
         # A's ordering: each free node in `order`, named by its free position
         self._free_order = (np.cumsum(is_free) - 1)[self.order[is_free[self.order]]]
-        self._lu = _ordered_splu(self.A, self._free_order)
+
+    @cached_property
+    def _lu(self):
+        """SuperLU factor of A under `_free_order`, built by the first solve."""
+        return _ordered_splu(self.A, self._free_order)
 
     def restrict(self, S: sp.sparray) -> sp.sparray:
         """S on the free rows and columns; S itself when every node is free."""

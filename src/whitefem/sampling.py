@@ -48,6 +48,9 @@ class DiscreteSolutionOperator:
         self.lam = float(lam)
         self.system = FactorizedSystem(mesh, bc, lam)
         self.K, self.M, self.R = self.system.K, self.system.M, self.system.R
+        # The system factors A on its first solve, the probe check below.  M
+        # is factored before that, so the transient copies of M's
+        # factorization are freed before A's factor takes its memory.
         self.sampler = LoadSampler(mesh, self.M, self.system.order)
         self.M_free = self.system.restrict(self.M).tocsr()
         self._last_probe = None  # [key, W, G or None] of the last point set

@@ -336,16 +336,6 @@ def spectral_tail_bound(
     return float(interior + axes + 3.0 * weight(r0 * r0))
 
 
-def resolvent_sq_weight(lam: float) -> Callable[[np.ndarray], np.ndarray]:
-    """weight(mu) = (mu + lam)^-2, the variance weight of the solution field."""
-
-    def w(mu):
-        return (mu + lam) ** -2.0
-
-    w.decay = 2.0
-    return w
-
-
 def sobolev_resolvent_weight(r: float, lam: float, p: int = 2) -> Callable[[np.ndarray], np.ndarray]:
     """weight(mu) = (1 + mu)^-r (mu + lam)^-p."""
 
@@ -374,7 +364,7 @@ def covariance_function(x, y, lam: float, basis: EigenBasis) -> TruncatedValue:
     ey = ex if _same_point(x, y, basis) else basis.evaluate(y).ravel()
     value = float(np.sum(ex * ey / (basis.mu + lam) ** 2))
     tail = basis.sup_sq_bound() * spectral_tail_bound(
-        basis.domain, basis.bc, float(basis.mu[-1]), resolvent_sq_weight(lam)
+        basis.domain, basis.bc, float(basis.mu[-1]), sobolev_resolvent_weight(0.0, lam, p=2)
     )
     return TruncatedValue(value, float(tail))
 

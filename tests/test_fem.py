@@ -454,6 +454,35 @@ class TestNestedDissectionFactor:
         assert np.array_equal(sysm.solve_free(B[:, 0]), sysm.solve_free(B[:, :1])[:, 0])
 
 
+class TestFactorOnFirstSolve:
+    def test_factors_once_on_the_first_solve(self, monkeypatch):
+        factored = []
+        inner = fem._ordered_splu
+        monkeypatch.setattr(fem, "_ordered_splu", lambda A, order: factored.append(A) or inner(A, order))
+        m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 6, 5))
+        sysm = FactorizedSystem(m, robin(0.8), 0.7)
+        assert len(factored) == 0
+        rng = np.random.default_rng(14)
+        sysm.solve_free(rng.standard_normal(sysm.n_free))
+        sysm.solve(rng.standard_normal((m.n_nodes, 3)))
+        assert len(factored) == 1
+        assert factored[0] is sysm.A
+
+    @pytest.mark.parametrize("bc", [neumann(), robin(0.8), dirichlet()], ids=["neumann", "robin", "dirichlet"])
+    def test_solves_bitwise_as_an_eager_factor(self, bc):
+        m = refine_uniform(build_rectangle_mesh(np.pi, 2.0, 9, 6))
+        sysm = FactorizedSystem(m, bc, 0.9)
+        eager = fem._ordered_splu(sysm.A, sysm._free_order)
+        order = sysm._free_order
+        B = np.random.default_rng(15).standard_normal((sysm.n_free, 32))
+        one = np.empty(sysm.n_free)
+        one[order] = eager.solve(B[order, 0], trans="T")
+        wide = np.empty(B.shape)
+        wide[order] = eager.solve(B[order])
+        assert np.array_equal(sysm.solve_free(B[:, 0]), one)
+        assert np.array_equal(sysm.solve_free(B), wide)
+
+
 class TestEvaluate:
     def test_nodal_value_exact(self):
         m = build_rectangle_mesh(1.0, 1.0, 3, 3)

@@ -4,6 +4,7 @@ import pytest
 from whitefem.convergence import holder_modulus
 from whitefem.fem import dirichlet, neumann, point_vectors, robin
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
+import whitefem.fem as fem
 import whitefem.sampling as sampling
 from whitefem.noise import GaussianStream, LoadSample, LoadSampler
 from whitefem.sampling import (
@@ -66,6 +67,22 @@ class TestSamplePath:
         points = [(0.5, 0.5), (np.pi / 2, np.pi / 2), (2.0, 1.0), (3.0, 3.0), (1.0, 2.5)]
         rep = monte_carlo_moments(neumann_op, points, 10_000, GaussianStream(100, 0))
         assert (np.abs(rep.mean) <= 4.0 * rep.se_mean).all()
+
+
+class TestFactorOrder:
+    @pytest.mark.parametrize("bc", [neumann(), robin(0.8), dirichlet()], ids=["neumann", "robin", "dirichlet"])
+    def test_mass_is_factored_before_the_system(self, bc, monkeypatch):
+        # sparse_cholesky looks _ordered_splu up in fem, so this sees both factors
+        factored = []
+        inner = fem._ordered_splu
+        monkeypatch.setattr(fem, "_ordered_splu", lambda A, order: factored.append(A) or inner(A, order))
+        op = DiscreteSolutionOperator(build_rectangle_mesh(2.0, 1.0, 6, 4), bc, 0.9)
+        assert len(factored) == 2
+        assert factored[0] is op.M
+        assert factored[1] is op.system.A
+        sample_path_with_load(op, GaussianStream(3, 1))
+        op.probe([(0.5, 0.5), (1.5, 0.2)])
+        assert len(factored) == 2
 
 
 class TestExactCovariance:

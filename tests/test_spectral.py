@@ -11,7 +11,6 @@ from whitefem.spectral import (
     covariance_function,
     eigenpairs,
     greens_function_1d,
-    resolvent_sq_weight,
     sobolev_norm,
     sobolev_resolvent_weight,
     spectral_tail_bound,
@@ -223,7 +222,8 @@ class TestTailBounds:
         for cut in (10, 100, 1000):
             actual = np.sum((basis.mu[cut:] + lam) ** -2.0)
             bound = spectral_tail_bound(
-                Interval(0, np.pi), dirichlet(), float(basis.mu[cut - 1]), resolvent_sq_weight(lam)
+                Interval(0, np.pi), dirichlet(), float(basis.mu[cut - 1]),
+                sobolev_resolvent_weight(0.0, lam, p=2),
             )
             assert actual <= bound
             assert bound < 20.0 * actual + 1e-12
@@ -234,12 +234,14 @@ class TestTailBounds:
         lam = 1.0
         for cut in (100, 2000):
             actual = np.sum((basis.mu[cut:] + lam) ** -2.0)
-            bound = spectral_tail_bound(dom, neumann(), float(basis.mu[cut - 1]), resolvent_sq_weight(lam))
+            bound = spectral_tail_bound(
+                dom, neumann(), float(basis.mu[cut - 1]), sobolev_resolvent_weight(0.0, lam, p=2)
+            )
             assert actual <= bound
 
     def test_1d_tail_scales_like_inverse_cube(self):
         dom = Interval(0.0, 1.0)
-        w = resolvent_sq_weight(1.0)
+        w = sobolev_resolvent_weight(0.0, 1.0, p=2)
         bounds = [spectral_tail_bound(dom, dirichlet(), (k * np.pi) ** 2, w) for k in (64, 128, 256)]
         for b1, b2 in zip(bounds, bounds[1:]):
             assert b1 / b2 == pytest.approx(8.0, rel=0.15)
@@ -254,7 +256,8 @@ class TestTailBounds:
         partial = np.cumsum(terms)
         assert partial[-1] - partial[20000] < 1e-3
         tail = spectral_tail_bound(
-            Rectangle(np.pi, np.pi), neumann(), float(basis.mu[-1]), resolvent_sq_weight(1.0)
+            Rectangle(np.pi, np.pi), neumann(), float(basis.mu[-1]),
+            sobolev_resolvent_weight(0.0, 1.0, p=2),
         )
         assert np.isfinite(tail)
 
