@@ -323,17 +323,27 @@ def run_sample(cfg: ExperimentConfig):
 
 
 def run_covariance(cfg: ExperimentConfig):
+    """Monte Carlo against exact covariances at the probe points.
+
+    Each entry passes when the two differ by at most 4 standard errors of an
+    n-path sample covariance under the exact covariance C,
+    sqrt((C_ii C_jj + C_ij^2) / (n - 1)), the value reported as `se`.
+    """
     mesh = _probe_mesh(cfg)
     op = DiscreteSolutionOperator(mesh, cfg.bc, cfg.lam)
     stream = GaussianStream(cfg.seed, cfg.stream_id)
     moments = monte_carlo_moments(op, cfg.points, cfg.samples, stream)
-    exact_cov = exact_covariances(op, cfg.points)
+    C = exact_covariances(op, cfg.points)
+    # Not an error estimated from the paths it judges: at small path counts
+    # that is often too small, and the check then fails correct output.
+    var = np.diag(C)
+    se_cov = np.sqrt((np.outer(var, var) + C**2) / (cfg.samples - 1))
     rows, pass_all = [], True
     for i in range(len(cfg.points)):
         for j in range(i, len(cfg.points)):
-            exact = float(exact_cov[i, j])
+            exact = float(C[i, j])
             mc = moments.covariance[i, j]
-            se = moments.se_covariance[i, j]
+            se = se_cov[i, j]
             ok = abs(mc - exact) <= 4.0 * se
             pass_all &= ok
             rows.append([i, j, exact, mc, se, int(ok)])

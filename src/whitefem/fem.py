@@ -29,7 +29,7 @@ NEUMANN = "neumann"
 ROBIN = "robin"
 
 # Nested-dissection sets of at most this many nodes are not split further.
-_ND_LEAF = 32
+_ND_LEAF = 8
 # Columns per block of a multi-column direct solve.
 _SOLVE_CHUNK = 32
 _BACKWARD_ERROR_TOL = 1e-10
@@ -114,14 +114,16 @@ def _check_measures(mesh: Mesh) -> np.ndarray:
     return meas
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_array:
-    """Accumulate per-element local matrices (m, k, k) into a global CSR."""
-    k = mesh.dim + 1
-    ii = np.broadcast_to(mesh.elements[:, :, None], local.shape)
-    jj = np.broadcast_to(mesh.elements[:, None, :], local.shape)
-    n = mesh.n_nodes
-    A = sp.coo_array((local.ravel(), (ii.ravel(), jj.ravel())), shape=(n, n))
-    return A.tocsr()
+def _scatter(local: np.ndarray, nodes: np.ndarray, n: int) -> sp.csr_array:
+    """Sum local matrices (m, k, k) on the node tuples (m, k) into an n x n CSR.
+
+    Indices are int32, half the bytes of int64 in every matvec and in the
+    factorizations' input.
+    """
+    nodes = nodes.astype(np.int32)
+    ii = np.broadcast_to(nodes[:, :, None], local.shape)
+    jj = np.broadcast_to(nodes[:, None, :], local.shape)
+    return sp.coo_array((local.ravel(), (ii.ravel(), jj.ravel())), shape=(n, n)).tocsr()
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_array:
@@ -136,7 +138,7 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_array:
         local = (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]) * meas[
             :, None, None
         ]
-    return _scatter(mesh, local)
+    return _scatter(local, mesh.elements, mesh.n_nodes)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_array:
@@ -147,7 +149,7 @@ def assemble_mass(mesh: Mesh) -> sp.csr_array:
     else:
         base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     local = base[None, :, :] * meas[:, None, None]
-    return _scatter(mesh, local)
+    return _scatter(local, mesh.elements, mesh.n_nodes)
 
 
 def assemble_boundary_mass(mesh: Mesh) -> sp.csr_array:
@@ -157,16 +159,12 @@ def assemble_boundary_mass(mesh: Mesh) -> sp.csr_array:
     so R is an indicator diagonal; in 2D each boundary edge of length L
     contributes the 1D mass matrix L/6 [[2,1],[1,2]].
     """
-    n = mesh.n_nodes
     if mesh.dim == 1:
-        idx = mesh.facet_nodes[:, 0]
-        return sp.coo_array((np.ones(idx.size), (idx, idx)), shape=(n, n)).tocsr()
-    lengths = mesh.facet_measures()
-    base = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    local = base[None, :, :] * lengths[:, None, None]
-    ii = np.broadcast_to(mesh.facet_nodes[:, :, None], local.shape)
-    jj = np.broadcast_to(mesh.facet_nodes[:, None, :], local.shape)
-    return sp.coo_array((local.ravel(), (ii.ravel(), jj.ravel())), shape=(n, n)).tocsr()
+        local = np.ones((mesh.n_facets, 1, 1))
+    else:
+        base = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+        local = base[None, :, :] * mesh.facet_measures()[:, None, None]
+    return _scatter(local, mesh.facet_nodes, mesh.n_nodes)
 
 
 # -- factorized solves -------------------------------------------------------
@@ -193,7 +191,7 @@ def _ordered_splu(A: sp.sparray, order: np.ndarray):
     return lu
 
 
-def sparse_cholesky(M: sp.sparray, order: np.ndarray) -> sp.csc_array:
+def sparse_cholesky(M: sp.sparray, order: np.ndarray) -> sp.csr_array:
     """Sparse square root F of a symmetric positive definite M, F F^T = M.
 
     F is the Cholesky factor L of M[order][:, order] with its rows relabelled
@@ -201,8 +199,11 @@ def sparse_cholesky(M: sp.sparray, order: np.ndarray) -> sp.csc_array:
     triangular and column k of F belongs to factor position k.  The ordering
     is the caller's (the nested dissection of :func:`nested_dissection`), so
     F is a deterministic function of M and the mesh.  L is scaled and
-    relabelled in place once SuperLU's own storage is released.  Raises
-    ValueError when a pivot is not positive.
+    relabelled in place once SuperLU's own storage is released, then
+    converted to CSR: rows in node order, each with ascending column
+    indices.  F @ z then gathers z along each row instead of scattering into
+    the result, in the same summation order, so it has the bits of the CSC
+    product.  Raises ValueError when a pivot is not positive.
     """
     lu = _ordered_splu(M, order)
     d = lu.U.diagonal()
@@ -214,7 +215,7 @@ def sparse_cholesky(M: sp.sparray, order: np.ndarray) -> sp.csc_array:
     F.data *= np.repeat(np.sqrt(d), np.diff(F.indptr))
     F.indices = order.astype(F.indices.dtype)[F.indices]
     F.has_sorted_indices = False
-    return F
+    return F.tocsr()
 
 
 def nested_dissection(mesh: Mesh, graph: sp.sparray) -> np.ndarray:
@@ -226,9 +227,14 @@ def nested_dissection(mesh: Mesh, graph: sp.sparray) -> np.ndarray:
     ordered recursively, then the separator, until a set has at most _ND_LEAF
     nodes; each leaf and separator is in ascending node order.  On a 2D mesh
     the factor of a matrix with the element graph's pattern then has
-    O(n log n) fill (Lipton, Rose and Tarjan 1979).  This one ordering serves
-    both factors: the load factor uses it as it is, and the system factor
-    drops the Dirichlet nodes from it (FactorizedSystem).
+    O(n log n) fill (Lipton, Rose and Tarjan 1979).  Leaves hold 8 nodes
+    because a leaf is not dissected: a 32-node leaf in ascending order gives
+    banded factor columns that do not nest.  At 66,049 nodes 8-node leaves
+    take the mass factor from 2,594,659 to 2,509,033 nonzeros and the system
+    factor's SuperLU storage from 5,399,668 to 5,034,674 entries, for an
+    ordering 13-23 % slower; 4-node leaves save under 0.4 % more.  This
+    one ordering serves both factors: the load factor uses it as it is, and
+    the system factor drops the Dirichlet nodes from it (FactorizedSystem).
 
     The neighbours are read from graph, a square matrix over all mesh nodes
     whose pattern is the mesh's element graph, as the mass matrix's is.  The
@@ -313,18 +319,21 @@ class FactorizedSystem:
     """Shared, reusable solver for A c = b on the free degrees of freedom.
 
     The single owner of the discrete operators: K, M and (Robin only) R are
-    assembled here once, and A_full = K + lam M (+ beta R) on the full node
-    set is built from them.  For Dirichlet problems the boundary rows/columns
-    are eliminated and the solution is re-embedded with exact zeros on the
-    boundary.  `order` is the nested-dissection ordering of all nodes (from
-    the coordinates and M's pattern), the one the load factor also uses.  A
-    is factored once, on the first solve, as the symmetric positive definite
-    matrix it is, under that ordering with the Dirichlet nodes dropped and
-    the rest renumbered to free positions; with every node free that equals
-    `order`.  Every later backsolve reuses that factor.  Because A is not
-    factored here, a caller can build M's load factor first, and the
-    transient copies of that factorization are freed before A's factor
-    exists.  The operators and the ordering do not change after construction.
+    assembled here once, with 32-bit indices, and A_full = K + lam M
+    (+ beta R) on the full node set is built from them.  For Dirichlet
+    problems the boundary rows/columns are eliminated and the solution is
+    re-embedded with exact zeros on the boundary.  A is the one sorted CSR
+    copy of the reduced matrix (A_full itself when every node is free); it
+    serves the residuals and the factorization.  `order` is the
+    nested-dissection ordering of all nodes (from the coordinates and M's
+    pattern), the one the load factor also uses.  A is factored once, on the
+    first solve, as the symmetric positive definite matrix it is, under that
+    ordering with the Dirichlet nodes dropped and the rest renumbered to free
+    positions; with every node free that equals `order`.  Every later
+    backsolve reuses that factor.  Because A is not factored here, a caller
+    can build M's load factor first, and the transient copies of that
+    factorization are freed before A's factor exists.  The operators and the
+    ordering do not change after construction.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
@@ -346,8 +355,8 @@ class FactorizedSystem:
         A = self.K + lam * self.M
         if self.R is not None:
             A = A + bc.beta * self.R
-        self.A_full = A.tocsr()
-        self.A = self.restrict(self.A_full).tocsc()
+        self.A_full = A
+        self.A = self.restrict(A)
         # M's pattern is the element graph.  A = K + lam M (+ beta R) is SPD
         # because lam > 0, beta > 0 and every element measure is positive,
         # all checked before this.
@@ -369,22 +378,28 @@ class FactorizedSystem:
     def solve_free(self, b_free: np.ndarray) -> np.ndarray:
         """Solve on free dofs; accepts a vector or a matrix of columns.
 
-        Each block of _SOLVE_CHUNK columns is gathered into the factor's
-        ordering in the output's own columns, solved, and scattered back, so
+        A vector is gathered into the factor's ordering, solved and scattered
+        back as a vector.  Each block of _SOLVE_CHUNK columns of a matrix is
+        gathered in the output's own columns, solved, and scattered back, so
         no permuted copy of a wide b_free is made.
 
         The permuted A is symmetric, so A^T x = b is the same system, and a
         single column is solved by SuperLU's transposed sweep: it reads U's
         columns as dot products (gathers) where the normal sweep scatters
-        updates.  For one column that took 0.81-0.92 of the normal sweep's
+        updates.  For one column that took 0.65-0.90 of the normal sweep's
         time on meshes of 289 to 66,049 nodes, and agreed with it to 1e-15
-        relative.  From two columns on the normal sweep is the faster one (the
-        transposed one took 1.24x its time at 6 columns, 1.3x at 32 and 256,
-        2.2x at 32 columns of 66,049 unknowns), so wider blocks keep it.
+        relative.  From two columns on the normal sweep is as fast or faster
+        (the transposed one took 0.91-1.03x its time at 2 columns, 1.12x at 6,
+        1.2-1.4x at 32 and 256, 2.0x at 32 columns of 66,049 unknowns), so
+        wider blocks keep it.
         """
+        order = self._free_order
+        if b_free.ndim == 1:
+            x = np.empty(b_free.shape)
+            x[order] = self._lu.solve(b_free[order], trans="T")
+            return x
         cols = b_free.reshape(b_free.shape[0], -1)
         x = np.empty(cols.shape, order="F")
-        order = self._free_order
         trans = "T" if cols.shape[1] == 1 else "N"
         for start in range(0, cols.shape[1], _SOLVE_CHUNK):
             stop = start + _SOLVE_CHUNK

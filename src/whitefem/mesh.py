@@ -170,8 +170,8 @@ class Mesh:
         """One integer per facet, independent of the order of its nodes."""
         if self.dim == 1:
             return facets[:, 0]
-        lo, hi = np.sort(facets, axis=1).T
-        return lo * self.n_nodes + hi
+        # elementwise min and max: the rows of np.sort(axis=1), without its sorts
+        return np.minimum(*facets.T) * self.n_nodes + np.maximum(*facets.T)
 
 
 def build_interval_mesh(a: float, b: float, n: int) -> Mesh:
@@ -241,7 +241,7 @@ def _refine_2d(mesh: Mesh) -> Mesh:
     n0 = mesh.n_nodes
     a, b, c = mesh.elements.T
     ends = np.concatenate([np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2), mesh.facet_nodes])
-    lo, hi = np.sort(ends, axis=1).T
+    lo, hi = np.minimum(*ends.T), np.maximum(*ends.T)
     _, first, inverse = np.unique(lo * n0 + hi, return_index=True, return_inverse=True)
     met = np.argsort(first)
     number = np.empty(met.size, dtype=np.int64)

@@ -14,11 +14,11 @@ Load vectors b_i = W(phi_i) are sampled as b = F z with F F^T = M exactly, M
 the consistent mass matrix (no mass lumping: lumping would perturb the load
 covariance by O(h^2) and contaminate measured convergence rates).  F is the
 sparse Cholesky factor of M under the geometric nested-dissection ordering
-of all nodes (fem.nested_dissection), with its rows put back in node order.
-That is the system factor's own ordering array, for every boundary
-condition.  Any exact square root of M gives the same load law, and this one
-has a fraction of the natural-order factor's fill.  A load consumes one
-normal per node.
+of all nodes (fem.nested_dissection), with its rows put back in node order
+and stored row by row (CSR).  That ordering is the system factor's own
+array, for every boundary condition.  Any exact square root of M gives the
+same load law, and this one has a fraction of the natural-order factor's
+fill.  A load consumes one normal per node.
 """
 
 from __future__ import annotations
@@ -111,9 +111,10 @@ class LoadSampler:
 
     `chol` is the sparse square root F of M (F F^T = M, one column per
     normal) from `sparse_cholesky` under `order`, the nested-dissection
-    ordering of all nodes.  DiscreteSolutionOperator passes its system's
-    `order`; a standalone sampler computes the same array here from the mesh
-    and M's pattern.
+    ordering of all nodes.  It is a CSR matrix with its rows in node order
+    and ascending columns in each row, so a load F z is one gather per node.
+    DiscreteSolutionOperator passes its system's `order`; a standalone
+    sampler computes the same array here from the mesh and M's pattern.
     """
 
     def __init__(self, mesh: Mesh, M: sp.sparray, order: np.ndarray | None = None):

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import whitefem.cli
 import whitefem.fem
 from whitefem.cli import ConfigError, build_config, config_hash, main, parse_config_text
 from whitefem.fem import robin
 from whitefem.noise import GaussianStream
-from whitefem.sampling import DiscreteSolutionOperator, path_point_values, point_values
+from whitefem.sampling import DiscreteSolutionOperator, exact_covariances, path_point_values, point_values
 
 CONVERGE_CONFIG = """\
 # small convergence study
@@ -324,6 +325,32 @@ def test_exact_covariance_does_not_depend_on_blas_threads(tmp_path):
     )
     assert len(trees[0]) == 3
     assert trees[0] == trees[1]
+
+
+def test_covariance_check_passes_correct_output_at_twenty_paths(monkeypatch):
+    # Judged by standard errors estimated from the same 20 paths, 7 of these
+    # 40 seeds miss by 4.03 to 7.2 of them (4 with 32-node nested-dissection
+    # leaves) and exit 4.  Under the exact covariance the largest miss is 3.32.
+    raw = parse_config_text(
+        "domain = rectangle\nlx = 2\nly = 1\nbc = robin\nbeta = 0.7\nlambda = 1.5\n"
+        "levels = 128\nsamples = 20\n"
+        "points = 0.3,0.2; 1.1,0.5; 1.9,0.95; 0.7,0.7; 1.5,0.1\n"
+    )
+    cfg = build_config("covariance", raw)
+    op = DiscreteSolutionOperator(cfg.base_mesh(128), cfg.bc, cfg.lam)
+    monkeypatch.setattr(whitefem.cli, "DiscreteSolutionOperator", lambda mesh, bc, lam: op)
+    C = exact_covariances(op, cfg.points)
+    var = np.diag(C)
+    se = np.sqrt((np.outer(var, var) + C**2) / 19)
+    failed, reported = [], []
+    for seed in range(1, 41):
+        report, header, rows, code = whitefem.cli.run_covariance(build_config("covariance", raw, seed))
+        if code != 0 or not report["all_within_4se"]:
+            failed.append(seed)
+        reported.append([row[header.index("se")] for row in rows])
+    assert failed == []
+    # the se column is the standard error under the exact covariance
+    assert reported == [[se[i, j] for i in range(5) for j in range(i, 5)]] * 40
 
 
 def test_converge_does_not_depend_on_blas_threads(tmp_path):

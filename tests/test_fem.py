@@ -301,15 +301,20 @@ class TestSolve:
         normal = sysm.solve_free(np.column_stack([b, b]))
         one = sysm.solve_free(b)
         assert np.abs(one - normal[:, 0]).max() <= 1e-13 * np.abs(normal[:, 0]).max()
+        order = sysm._free_order
         direct = np.empty(sysm.n_free)
-        direct[sysm._free_order] = sysm._lu.solve(b[sysm._free_order], trans="T")
+        direct[order] = sysm._lu.solve(b[order], trans="T")
+        assert one.shape == b.shape
         assert np.array_equal(one, direct)
+        # the 1-D path and the one-column block path give the same bits
+        assert np.array_equal(sysm.solve_free(b[:, None])[:, 0], one)
 
     @pytest.mark.parametrize("bc", [neumann(), robin(0.8)])
     def test_all_free_solve_skips_the_copy(self, bc):
         m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 4, 3))
         sysm = FactorizedSystem(m, bc, 0.7)
         assert sysm.restrict(sysm.A_full) is sysm.A_full
+        assert sysm.A is sysm.A_full
         restricted = sysm.A_full[np.ix_(sysm.free, sysm.free)].tocsc()
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(sysm.A, attr), getattr(restricted, attr))
@@ -319,6 +324,25 @@ class TestSolve:
             copied = np.zeros(b.shape)
             copied[sysm.free] = sysm.solve_free(b[sysm.free])
             assert np.array_equal(sysm.solve(b), copied)
+
+    @pytest.mark.parametrize("case", ["neumann", "robin", "dirichlet", "interval"])
+    def test_operators_hold_int32_indices(self, case):
+        rect = refine_uniform(build_rectangle_mesh(1.0, 1.0, 4, 3))
+        m, bc = {
+            "neumann": (rect, neumann()),
+            "robin": (rect, robin(0.8)),
+            "dirichlet": (rect, dirichlet()),
+            "interval": (build_interval_mesh(0.0, 2.0, 15), robin(1.5)),
+        }[case]
+        sysm = FactorizedSystem(m, bc, 0.7)
+        operators = [sysm.K, sysm.M, sysm.A_full, sysm.A] + ([sysm.R] if sysm.R is not None else [])
+        for S in operators:
+            assert S.format == "csr" and S.has_sorted_indices
+            assert S.indices.dtype == np.int32 and S.indptr.dtype == np.int32
+        # A is symmetric, so its CSR arrays are the arrays of its CSC form
+        csc = sysm.A.tocsc()
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(sysm.A, attr), getattr(csc, attr))
 
     def test_dirichlet_solve_reembeds_exact_zeros(self):
         m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 4, 3))
@@ -395,7 +419,7 @@ class TestNestedDissectionFactor:
             "rectangle-robin": lambda: (rect, robin(0.8)),
             "interval": lambda: (build_interval_mesh(0.0, 2.0, 150), robin(1.5)),
             "polygon": lambda: (_l_shape(tmp_path), dirichlet()),
-            "small": lambda: (build_rectangle_mesh(1.0, 1.0, 4, 4), dirichlet()),
+            "small": lambda: (build_rectangle_mesh(1.0, 1.0, 3, 1), neumann()),
             "fine": lambda: (refine_uniform(refine_uniform(
                 build_rectangle_mesh(np.pi, np.pi, 32, 32))), robin(0.8)),
         }[case]()
@@ -438,6 +462,14 @@ class TestNestedDissectionFactor:
         colamd = splu(sp.csc_matrix(sysm.A), permc_spec="COLAMD")
         nnz = sysm._lu.L.nnz + sysm._lu.U.nnz
         assert nnz < 0.8 * (colamd.L.nnz + colamd.U.nnz)
+
+    def test_system_factor_storage_with_small_leaves(self):
+        # SuperLU's own storage of A's factor at 16,641 nodes: 1,135,816
+        # entries with 32-node leaves, 1,029,590 with 8-node ones.
+        m = refine_uniform(refine_uniform(build_rectangle_mesh(np.pi, np.pi, 32, 32)))
+        assert m.n_nodes == 16_641
+        sysm = FactorizedSystem(m, robin(0.8), 1.0)
+        assert sysm._lu.nnz < 1_100_000
 
     @pytest.mark.parametrize("width", [2, 32, 33, 64, 65, 100])
     def test_chunked_solve_is_bitwise_one_block_solve(self, width):
@@ -641,6 +673,20 @@ class TestSparseCholesky:
         F = sparse_cholesky(M, order)
         Mp = M.toarray()[np.ix_(order, order)]
         assert np.allclose(F[order].toarray(), np.linalg.cholesky(Mp), atol=1e-14)
+
+    def test_row_storage_is_bitwise_the_column_product(self):
+        m = refine_uniform(refine_uniform(build_rectangle_mesh(np.pi, np.pi, 32, 32)))
+        assert m.n_nodes == 16_641
+        M = assemble_mass(m)
+        F = sparse_cholesky(M, nested_dissection(m, M))
+        assert F.format == "csr"
+        row = np.repeat(np.arange(m.n_nodes), np.diff(F.indptr))
+        # every step within a row ascends
+        assert (np.diff(F.indices) > 0)[row[1:] == row[:-1]].all()
+        rng = np.random.default_rng(16)
+        for z in (rng.standard_normal(m.n_nodes), rng.standard_normal((m.n_nodes, 1)),
+                  rng.standard_normal((m.n_nodes, 7))):
+            assert np.array_equal(F @ z, F.tocsc() @ z)
 
     def test_fill_below_half_of_natural_order(self):
         m = refine_uniform(refine_uniform(build_rectangle_mesh(1.0, 1.0, 16, 16)))

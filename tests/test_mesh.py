@@ -319,3 +319,24 @@ def test_refinement_matches_loop_reference(mesh, tmp_path):
     for _ in range(3):
         fast, slow = refine_uniform(fast), _refine_loop(slow)
         _assert_same_mesh(fast, slow)
+
+
+@pytest.mark.parametrize("mesh", ["rectangle", "refined", "interval", "polygon"])
+def test_facet_keys_equal_the_sorted_pair_keys(mesh, tmp_path):
+    path = tmp_path / "pentagon.txt"
+    path.write_text(_PENTAGON)
+    mesh = {
+        "rectangle": lambda: build_rectangle_mesh(np.pi, 2.0, 5, 3),
+        "refined": lambda: refine_uniform(refine_uniform(build_rectangle_mesh(np.pi, 2.0, 5, 3))),
+        "interval": lambda: build_interval_mesh(-1.0, np.e, 5),
+        "polygon": lambda: read_mesh(path),
+    }[mesh]()
+    e = mesh.elements
+    edges = [e[:, [i, (i + 1) % e.shape[1]]] for i in range(e.shape[1])] if mesh.dim == 2 else [e[:, :1]]
+    for facets in [*edges, mesh.facet_nodes, mesh.facet_nodes[:, ::-1]]:
+        keys = mesh._facet_keys(facets)
+        if mesh.dim == 1:
+            assert np.array_equal(keys, facets[:, 0])
+        else:
+            lo, hi = np.sort(facets, axis=1).T
+            assert np.array_equal(keys, lo * mesh.n_nodes + hi)
