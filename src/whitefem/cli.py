@@ -41,6 +41,7 @@ from .mesh import Mesh, build_interval_mesh, build_rectangle_mesh, read_mesh, re
 from .noise import GaussianStream
 from .sampling import (
     DiscreteSolutionOperator,
+    covariance_standard_error,
     exact_covariances,
     monte_carlo_moments,
     path_point_values,
@@ -336,8 +337,7 @@ def run_covariance(cfg: ExperimentConfig):
     C = exact_covariances(op, cfg.points)
     # Not an error estimated from the paths it judges: at small path counts
     # that is often too small, and the check then fails correct output.
-    var = np.diag(C)
-    se_cov = np.sqrt((np.outer(var, var) + C**2) / (cfg.samples - 1))
+    se_cov = covariance_standard_error(C, cfg.samples)
     rows, pass_all = [], True
     for i in range(len(cfg.points)):
         for j in range(i, len(cfg.points)):

@@ -378,10 +378,11 @@ class FactorizedSystem:
     def solve_free(self, b_free: np.ndarray) -> np.ndarray:
         """Solve on free dofs; accepts a vector or a matrix of columns.
 
-        A vector is gathered into the factor's ordering, solved and scattered
-        back as a vector.  Each block of _SOLVE_CHUNK columns of a matrix is
-        gathered in the output's own columns, solved, and scattered back, so
-        no permuted copy of a wide b_free is made.
+        A single column (a vector, or a matrix with one column) is gathered
+        into the factor's ordering as a vector, solved and scattered back.
+        Each block of _SOLVE_CHUNK columns of a wider matrix is gathered in
+        the output's own columns, solved, and scattered back, so no permuted
+        copy of a wide b_free is made.
 
         The permuted A is symmetric, so A^T x = b is the same system, and a
         single column is solved by SuperLU's transposed sweep: it reads U's
@@ -394,20 +395,19 @@ class FactorizedSystem:
         wider blocks keep it.
         """
         order = self._free_order
-        if b_free.ndim == 1:
-            x = np.empty(b_free.shape)
-            x[order] = self._lu.solve(b_free[order], trans="T")
-            return x
         cols = b_free.reshape(b_free.shape[0], -1)
+        if cols.shape[1] == 1:
+            x = np.empty(cols.shape[0])
+            x[order] = self._lu.solve(cols[order, 0], trans="T")
+            return x.reshape(b_free.shape)
         x = np.empty(cols.shape, order="F")
-        trans = "T" if cols.shape[1] == 1 else "N"
         for start in range(0, cols.shape[1], _SOLVE_CHUNK):
             stop = start + _SOLVE_CHUNK
             block = x[:, start:stop]
             # order is a permutation, so "clip" changes no index; unlike the
             # default mode it lets take write into block without a buffer.
             np.take(cols[:, start:stop], order, axis=0, out=block, mode="clip")
-            x[order, start:stop] = self._lu.solve(block, trans=trans)
+            x[order, start:stop] = self._lu.solve(block)
         return x.reshape(b_free.shape)
 
     def solve(self, load: np.ndarray) -> np.ndarray:

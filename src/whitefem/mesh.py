@@ -170,7 +170,6 @@ class Mesh:
         """One integer per facet, independent of the order of its nodes."""
         if self.dim == 1:
             return facets[:, 0]
-        # elementwise min and max: the rows of np.sort(axis=1), without its sorts
         return np.minimum(*facets.T) * self.n_nodes + np.maximum(*facets.T)
 
 

