@@ -14,26 +14,19 @@ from .fem import (
     assemble_mass,
     assemble_stiffness,
     dirichlet,
-    evaluate,
-    h1_norm,
-    l2_inner,
     neumann,
     robin,
-    solve_deterministic,
 )
 from .spectral import (
     EigenBasis,
     Interval,
     Rectangle,
-    SpectralField,
     TruncatedValue,
-    apply_solution_operator,
     covariance_function,
     eigenpairs,
     greens_function_1d,
-    sobolev_norm,
 )
-from .noise import GaussianStream, LoadSample, LoadSampler, sample_spectral_truncation, white_noise_functional
+from .noise import GaussianStream, LoadSample, LoadSampler
 from .sampling import (
     DiscreteSolutionOperator,
     MomentReport,
@@ -46,7 +39,6 @@ from .boundary import (
     BoundaryFunction,
     CameronMartinSystem,
     ScaleSpaceBasis,
-    measurable_trace_series,
     robin_residual,
     scale_space_basis,
     scale_space_norm,

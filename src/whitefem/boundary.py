@@ -45,7 +45,7 @@ class BoundaryFunction:
     """Values (trace) or dual coefficients (functional) at boundary nodes.
 
     `node_indices` is the sorted array of boundary node indices; `values`
-    aligns with it.  The two representations are never mixed in arithmetic.
+    aligns with it.
     """
 
     mesh: Mesh
@@ -62,25 +62,6 @@ class BoundaryFunction:
             raise ValueError("values and node_indices differ in length")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "node_indices", idx)
-
-    def _combine(self, other: "BoundaryFunction", coeff: float) -> "BoundaryFunction":
-        if self.kind != other.kind:
-            raise ValueError("cannot mix trace and functional representations")
-        if not np.array_equal(self.node_indices, other.node_indices):
-            raise ValueError("boundary functions indexed over different node sets")
-        return BoundaryFunction(self.mesh, self.node_indices,
-                                self.values + coeff * other.values, self.kind)
-
-    def __add__(self, other):
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, -1.0)
-
-    def __mul__(self, scalar: float):
-        return BoundaryFunction(self.mesh, self.node_indices, self.values * scalar, self.kind)
-
-    __rmul__ = __mul__
 
 
 def trace(u: FemFunction) -> BoundaryFunction:
@@ -304,7 +285,7 @@ def scale_space_norm(g: BoundaryFunction, basis: ScaleSpaceBasis) -> TruncatedVa
     return TruncatedValue(value, basis.tail_sq_bound(g))
 
 
-# -- discrete Cameron-Martin system and the measurable trace series -----------
+# -- discrete Cameron-Martin system -------------------------------------------
 
 
 class CameronMartinSystem:
@@ -355,24 +336,3 @@ class CameronMartinSystem:
         full = np.zeros(self.op.mesh.n_nodes)
         full[self.op.free] = self.vectors[:, sl] @ coeff
         return FemFunction(self.op.mesh, full)
-
-
-def measurable_trace_series(
-    op: DiscreteSolutionOperator,
-    basis: EigenBasis,
-    stream,
-    m: int,
-    system: CameronMartinSystem | None = None,
-) -> BoundaryFunction:
-    """Trace of the m-term expansion of a freshly sampled path.
-
-    At m = dim(V_h free) the expansion reproduces the path exactly, so the
-    series trace coincides with the nodal trace.  Pass a prebuilt
-    CameronMartinSystem to amortize the orthonormalization across samples.
-    """
-    if system is None:
-        system = CameronMartinSystem(op, basis, m)
-    if m > system.vectors.shape[1]:
-        raise ValueError(f"truncation {m} exceeds the prepared system size")
-    load = op.sampler.sample(stream)
-    return trace(system.partial_sum(load, m))

@@ -31,12 +31,11 @@ import numpy as np
 from . import __version__
 from .convergence import (
     deterministic_fem_error,
-    fit_rate,
     holder_modulus,
     l2_realization_diagnostic,
     truncation_error_closed_form,
 )
-from .fem import BoundaryCondition, FactorizedSystem, point_evaluation
+from .fem import BoundaryCondition, FactorizedSystem, locate_points
 from .mesh import Mesh, build_interval_mesh, build_rectangle_mesh, read_mesh, refine_uniform
 from .noise import GaussianStream
 from .sampling import (
@@ -49,6 +48,13 @@ from .sampling import (
 from .spectral import Interval, ModelDomain, Rectangle, eigenpairs
 
 EXPERIMENTS = ("solve", "sample", "covariance", "converge", "truncate", "holder", "l2diag")
+# Every key that build_config or a runner reads; any other key is refused, so
+# a misspelled key cannot be silently ignored.
+CONFIG_KEYS = frozenset({
+    "domain", "a", "b", "lx", "ly", "mesh_file", "bc", "beta", "lambda", "r", "levels",
+    "seed", "stream_id", "samples", "modes", "truncations", "points", "basis_count",
+    "load_constant",
+})
 
 
 class ConfigError(Exception):
@@ -170,6 +176,9 @@ def _get_points(raw: dict[str, str], key: str, dim: int) -> list[tuple[float, ..
 def build_config(experiment: str, raw: dict[str, str], seed_override: int | None = None) -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {experiment!r}")
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(unknown[0], "unknown key")
 
     mesh_file = raw.get("mesh_file")
     domain: ModelDomain | None = None
@@ -277,7 +286,7 @@ def _probe_mesh(cfg: ExperimentConfig) -> Mesh:
     mesh = cfg.base_mesh(cfg.levels[0])
     for p in cfg.points:
         try:
-            point_evaluation(mesh, p)
+            locate_points(mesh, [p])
         except ValueError:
             raise ConfigError("points", f"point {p} is outside the mesh") from None
     return mesh

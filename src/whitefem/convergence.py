@@ -37,6 +37,7 @@ from .spectral import (
     spectral_tail_bound,
 )
 
+# Modes per block of loads solved and reduced together.
 _BLOCK = 256
 # Elements per chunk of the quadrature reductions: a chunk's arrays for a
 # block of _BLOCK modes (192 points x 256 modes in 2D, 384 KB each) stay in a
@@ -208,11 +209,6 @@ class _LevelContext:
             errors += np.einsum("cq,cqB->B", self.qweights[chunk], diff)
         return errors
 
-    def mode_errors_l2(self, basis: EigenBasis, lam: float, k0: int, k1: int,
-                       load_rule: str = "interpolation") -> np.ndarray:
-        """||T e_k - T_h e_k||_L2^2 for modes k0..k1 (see `solutions`)."""
-        return self.l2_errors(basis, lam, k0, k1, self.solutions(basis, k0, k1, load_rule))
-
 
 def deterministic_fem_error(
     domain: ModelDomain,
@@ -221,7 +217,6 @@ def deterministic_fem_error(
     r: float,
     meshes: Sequence[Mesh],
     basis_count: int | None = None,
-    block: int = _BLOCK,
     load_rule: str = "interpolation",
 ) -> ErrorReport:
     """Mean-square H^{-r} distance between exact and FEM solution fields.
@@ -255,9 +250,9 @@ def deterministic_fem_error(
     next_check = _ADAPT_START
     count = 0
     while count < cap:
-        k1 = min(count + block, cap)
+        k1 = min(count + _BLOCK, cap)
         for i, ctx in enumerate(contexts):
-            errs = ctx.mode_errors_l2(basis, lam, count, k1, load_rule=load_rule)
+            errs = ctx.l2_errors(basis, lam, count, k1, ctx.solutions(basis, count, k1, load_rule))
             totals[i] += float(weights[count:k1] @ errs)
         count = k1
         if adaptive and count >= next_check:

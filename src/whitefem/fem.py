@@ -79,29 +79,6 @@ class FemFunction:
             )
         object.__setattr__(self, "coefficients", coeff)
 
-    def __add__(self, other: "FemFunction") -> "FemFunction":
-        _require_same_mesh(self, other)
-        return FemFunction(self.mesh, self.coefficients + other.coefficients)
-
-    def __sub__(self, other: "FemFunction") -> "FemFunction":
-        _require_same_mesh(self, other)
-        return FemFunction(self.mesh, self.coefficients - other.coefficients)
-
-    def __mul__(self, scalar: float) -> "FemFunction":
-        return FemFunction(self.mesh, self.coefficients * scalar)
-
-    __rmul__ = __mul__
-
-
-def _require_same_mesh(u: FemFunction, v: FemFunction):
-    if u.mesh is v.mesh:
-        return
-    if u.mesh.dim == v.mesh.dim and np.array_equal(u.mesh.nodes, v.mesh.nodes) and np.array_equal(
-        u.mesh.elements, v.mesh.elements
-    ):
-        return
-    raise ValueError("FemFunctions live on different meshes")
-
 
 # -- assembly ----------------------------------------------------------------
 
@@ -421,12 +398,6 @@ class FactorizedSystem:
         c[self.free] = self.solve_free(load[self.free])
         return c
 
-    def residual(self, c_free: np.ndarray, b_free: np.ndarray) -> float:
-        bnorm = np.linalg.norm(b_free)
-        if bnorm == 0:
-            return float(np.linalg.norm(self.A @ c_free))
-        return float(np.linalg.norm(self.A @ c_free - b_free) / bnorm)
-
     @cached_property
     def _norm_inf(self) -> float:
         """||A||_inf, the largest absolute row sum of the reduced A."""
@@ -444,25 +415,22 @@ class FactorizedSystem:
         scale = self._norm_inf * np.linalg.norm(c_free) + np.linalg.norm(b_free)
         return float(r / scale) if scale > 0 else 0.0
 
-    def solve_checked(self, load: np.ndarray) -> FemFunction:
-        """Ritz-Galerkin solution for a dual-coordinate load vector.
+    def check_backward_error(self, c_free: np.ndarray, b_free: np.ndarray, what: str = "solver") -> None:
+        """Raise RuntimeError, naming `what`, when the backward error of a
+        solve exceeds 1e-10.  This is the one solve-quality check."""
+        err = self.backward_error(c_free, b_free)
+        if err > _BACKWARD_ERROR_TOL:
+            raise RuntimeError(f"{what} backward error {err:.3e} exceeds {_BACKWARD_ERROR_TOL:.0e}")
 
-        The normwise backward error of the reduced solve is checked against
-        1e-10; failure raises RuntimeError with the observed value.
-        """
+    def solve_checked(self, load: np.ndarray) -> FemFunction:
+        """Ritz-Galerkin solution for a dual-coordinate load vector, with the
+        backward error of the reduced solve checked (check_backward_error)."""
         load = np.asarray(load, dtype=np.float64)
         if load.shape != (self.mesh.n_nodes,):
             raise ValueError(f"load vector length {load.shape} != node count {self.mesh.n_nodes}")
         c = self.solve(load)
-        err = self.backward_error(c[self.free], load[self.free])
-        if err > _BACKWARD_ERROR_TOL:
-            raise RuntimeError(f"solver backward error {err:.3e} exceeds {_BACKWARD_ERROR_TOL:.0e}")
+        self.check_backward_error(c[self.free], load[self.free])
         return FemFunction(self.mesh, c)
-
-
-def solve_deterministic(mesh: Mesh, bc: BoundaryCondition, lam: float, load: np.ndarray) -> FemFunction:
-    """Ritz-Galerkin solution for a dual-coordinate load, on a fresh system."""
-    return FactorizedSystem(mesh, bc, lam).solve_checked(load)
 
 
 # -- pointwise evaluation ----------------------------------------------------
@@ -509,21 +477,6 @@ def locate_points(mesh: Mesh, points) -> tuple[np.ndarray, np.ndarray]:
     return mesh.elements[found], weights
 
 
-def point_evaluation(mesh: Mesh, point) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices and barycentric weights of the element containing point.
-
-    The one-point case of :func:`locate_points`.
-    """
-    idx, w = locate_points(mesh, [point])
-    return idx[0], w[0]
-
-
-def evaluate(u: FemFunction, point) -> float:
-    """Barycentric interpolation of u at a point of the closed domain."""
-    idx, w = point_evaluation(u.mesh, point)
-    return float(u.coefficients[idx] @ w)
-
-
 def point_vectors(mesh: Mesh, points) -> np.ndarray:
     """Dense (n_nodes, p) matrix whose column k is phi_i(points[k]).
 
@@ -533,28 +486,6 @@ def point_vectors(mesh: Mesh, points) -> np.ndarray:
     P = np.zeros((mesh.n_nodes, len(idx)))
     P[idx, np.arange(len(idx))[:, None]] = w
     return P
-
-
-# -- norms -------------------------------------------------------------------
-
-
-def l2_inner(u: FemFunction, v: FemFunction, M: sp.sparray | None = None) -> float:
-    """(u, v) in L2 via the mass matrix: c_u^T M c_v."""
-    _require_same_mesh(u, v)
-    if M is None:
-        M = assemble_mass(u.mesh)
-    return float(u.coefficients @ (M @ v.coefficients))
-
-
-def h1_norm(u: FemFunction, K: sp.sparray | None = None, M: sp.sparray | None = None) -> float:
-    """Full H1 norm sqrt(c^T (K + M) c)."""
-    if K is None:
-        K = assemble_stiffness(u.mesh)
-    if M is None:
-        M = assemble_mass(u.mesh)
-    c = u.coefficients
-    val = c @ (K @ c) + c @ (M @ c)
-    return float(np.sqrt(max(val, 0.0)))
 
 
 # -- quadrature (shared by error measurement and boundary integrals) ---------

@@ -31,7 +31,6 @@ from scipy.special import ndtri
 
 from .fem import nested_dissection, sparse_cholesky
 from .mesh import Mesh
-from .spectral import EigenBasis, SpectralField
 
 _MASK64 = (1 << 64) - 1
 _OUTPUTS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter tick
@@ -132,40 +131,3 @@ class LoadSampler:
         """n load vectors as columns, consuming normals in path order."""
         z = stream.normals(n * self.mesh.n_nodes).reshape(n, self.mesh.n_nodes).T
         return self.chol @ z
-
-
-def sample_spectral_truncation(basis: EigenBasis, m: int, stream: GaussianStream) -> SpectralField:
-    """Truncated white noise in the eigenbasis: m i.i.d. N(0,1) coefficients.
-
-    The eigenbasis is L2-orthonormal, so the coordinates of white noise in it
-    are independent standard normals.
-    """
-    if m < 0 or m > basis.count:
-        raise ValueError(f"truncation {m} outside [0, {basis.count}]")
-    return SpectralField(basis, stream.normals(m))
-
-
-def white_noise_functional(phi, sample) -> float:
-    """Evaluate W(phi) for a stored noise sample.
-
-    For a FEM test function v in V_h this is v^T b, which equals W(Q_h v)
-    identically because Q_h v = v on V_h (the projection identity is
-    structural, not approximated).  For spectral representations it is the
-    coefficient pairing over phi's truncation.
-    """
-    from .fem import FemFunction  # local import to avoid cycle at module load
-
-    if isinstance(phi, FemFunction) and isinstance(sample, LoadSample):
-        if phi.mesh is not sample.mesh and not np.array_equal(phi.mesh.nodes, sample.mesh.nodes):
-            raise ValueError("test function and load sample live on different meshes")
-        return float(phi.coefficients @ sample.b)
-    if isinstance(phi, SpectralField) and isinstance(sample, SpectralField):
-        if phi.basis is not sample.basis:
-            raise ValueError("spectral representations use different bases")
-        m = phi.truncation
-        if m > sample.truncation:
-            raise ValueError("noise sample truncated below the test function")
-        return float(phi.coefficients @ sample.coefficients[:m])
-    raise ValueError(
-        f"incompatible representations: {type(phi).__name__} vs {type(sample).__name__}"
-    )

@@ -32,7 +32,6 @@ from .fem import (
 from .mesh import Mesh
 from .noise import GaussianStream, LoadSample, LoadSampler
 
-_PROBE_TOL = 1e-10
 # Paths per generation batch: small enough that a batch's normals are still
 # in cache when they are contracted.  Each path's values do not depend on the
 # batch size, and the reductions run over all paths at once.
@@ -57,11 +56,11 @@ class DiscreteSolutionOperator:
         self._check_factorization()
 
     def _check_factorization(self):
+        """Solve one random load and bound its backward error, which, unlike
+        ||A c - b|| / ||b||, does not grow as lambda or h gets small."""
         probe = GaussianStream(0, 0).normals(self.system.n_free)
         sol = self.system.solve_free(probe)
-        res = self.system.residual(sol, probe)
-        if res > _PROBE_TOL:
-            raise RuntimeError(f"factorization probe residual {res:.3e} exceeds {_PROBE_TOL:.0e}")
+        self.system.check_backward_error(sol, probe, what="factorization probe")
 
     @property
     def free(self) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 Eigenpairs of -Δ with Dirichlet, Neumann or Robin conditions are available in
 closed form (Robin frequencies via bracketed bisection of the transcendental
-branch equation), which makes the solution operator diagonal, Sobolev norms
-exact, and covariance values computable to certified truncation tails.  These
-quantities are the independent oracle against which the finite element path
-is tested.
+branch equation), which makes the solution operator diagonal and covariance
+values computable to certified truncation tails.  These quantities are the
+independent oracle against which the finite element path is tested.
 
 Sobolev norms here are the spectrally defined ones, with weights (1 + mu_k)^s
 in the eigenbasis.  On the model domains they are equivalent to the standard
@@ -245,49 +244,6 @@ def eigenpairs(domain: ModelDomain, bc: BoundaryCondition, count: int) -> EigenB
     if isinstance(domain, Interval):
         return _interval_eigenbasis(domain, bc, count)
     return _rectangle_eigenbasis(domain, bc, count)
-
-
-# -- fields and diagonal operators --------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Finite expansion sum_k c_k e_k in the (first) modes of a basis."""
-
-    basis: EigenBasis
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.float64)
-        if c.ndim != 1 or c.size > self.basis.count:
-            raise ValueError("coefficient vector longer than the eigenbasis")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def truncation(self) -> int:
-        return self.coefficients.size
-
-    def evaluate(self, points) -> np.ndarray:
-        m = self.truncation
-        modes = self.basis.evaluate(points, 0, m)
-        return self.coefficients @ modes
-
-
-def apply_solution_operator(f: SpectralField, lam: float) -> SpectralField:
-    """Exact solve: divide each coefficient by (mu_k + lam)."""
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    m = f.truncation
-    return SpectralField(f.basis, f.coefficients / (f.basis.mu[:m] + lam))
-
-
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """Spectral H^s norm ( sum (1 + mu_k)^s c_k^2 )^(1/2)."""
-    m = f.truncation
-    w = (1.0 + f.basis.mu[:m]) ** s
-    return float(np.sqrt(np.sum(w * f.coefficients**2)))
 
 
 # -- truncation tail bounds ----------------------------------------------------

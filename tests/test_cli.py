@@ -228,7 +228,7 @@ class TestCliRuns:
 
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     # a factorization probe that cannot meet its tolerance
-    monkeypatch.setattr("whitefem.sampling._PROBE_TOL", 0.0)
+    monkeypatch.setattr("whitefem.fem._BACKWARD_ERROR_TOL", 0.0)
     config = (
         "domain = rectangle\nlx = 1\nly = 1\nbc = neumann\nlambda = 1.0\nlevels = 4\n"
         "samples = 10\npoints = 0.5,0.5\n"
@@ -236,6 +236,29 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     code, outdir = run_cli(tmp_path, "sample", config)
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_small_lambda_neumann_sample_exits_0(tmp_path):
+    # The factorization probe's relative residual is about 2e-10 here; its
+    # backward error, which the probe bounds, is about 1e-16.
+    config = (
+        "domain = rectangle\nlx = 1\nly = 1\nbc = neumann\nlambda = 0.0001\nlevels = 64\n"
+        "samples = 20\npoints = 0.5,0.5\n"
+    )
+    code, outdir = run_cli(tmp_path, "sample", config)
+    assert code == 0
+    assert len(list(outdir.glob("sample/*/levels.csv"))) == 1
+
+
+def test_misspelled_key_is_config_error(tmp_path, capsys):
+    config = (
+        "domain = rectangle\nlx = 1\nly = 1\nbc = neumann\nlambda = 1.0\nlevels = 4\n"
+        "sampels = 20\npoints = 0.5,0.5\n"
+    )
+    code, outdir = run_cli(tmp_path, "sample", config)
+    assert code == 2
+    assert "field 'sampels': unknown key" in capsys.readouterr().err
     assert not outdir.exists()
 
 

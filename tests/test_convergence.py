@@ -57,7 +57,7 @@ class TestDeterministicFemError:
         exact = basis.evaluate(mesh.nodes, 0, 64).T / (basis.mu[None, :64] + 1.0)
         errs = ctx.l2_errors(basis, 1.0, 0, 64, exact)
         # remaining error is only P1 interpolation of the exact solution
-        raw = ctx.mode_errors_l2(basis, 1.0, 0, 64)
+        raw = ctx.l2_errors(basis, 1.0, 0, 64, ctx.solutions(basis, 0, 64))
         assert (errs <= raw + 1e-15).all()
 
     def test_mass_comes_from_the_system(self):
@@ -157,7 +157,7 @@ class TestChunkedErrorKernel:
             got = ctx.l2_errors(basis, lam, k0, k1, sols)
             want = _unchunked_errors(ctx, basis, lam, k0, k1, sols=sols)
         else:
-            got = ctx.mode_errors_l2(basis, lam, k0, k1, load_rule=load_rule)
+            got = ctx.l2_errors(basis, lam, k0, k1, ctx.solutions(basis, k0, k1, load_rule))
             want = _unchunked_errors(ctx, basis, lam, k0, k1, load_rule)
         assert np.all(want > 0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

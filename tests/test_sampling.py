@@ -85,6 +85,28 @@ class TestFactorOrder:
         assert len(factored) == 2
 
 
+class TestFactorizationProbe:
+    def test_small_lambda_operator_builds(self):
+        # Neumann, lambda = 1e-4, on the 64 x 64 unit square: the probe's
+        # ||A c - b|| / ||b|| grows like eps ||A|| ||c|| / ||b|| and exceeds
+        # 1e-10, while its backward error stays at rounding level.
+        mesh = build_rectangle_mesh(1.0, 1.0, 64, 64)
+        op = DiscreteSolutionOperator(mesh, neumann(), 1e-4)
+        probe = GaussianStream(0, 0).normals(op.system.n_free)
+        c = op.system.solve_free(probe)
+        assert np.linalg.norm(op.system.A @ c - probe) / np.linalg.norm(probe) > 1e-10
+        assert op.system.backward_error(c, probe) < 1e-15
+
+    @pytest.mark.parametrize("bc", [neumann(), robin(0.8), dirichlet()], ids=["neumann", "robin", "dirichlet"])
+    def test_factor_of_another_matrix_is_refused(self, bc, monkeypatch):
+        def wrong_factor(system):
+            return fem._ordered_splu(2.0 * system.A, system._free_order)
+
+        monkeypatch.setattr(fem.FactorizedSystem, "_lu", property(wrong_factor))
+        with pytest.raises(RuntimeError, match="factorization probe backward error .* exceeds 1e-10"):
+            DiscreteSolutionOperator(build_rectangle_mesh(2.0, 1.0, 6, 4), bc, 0.9)
+
+
 class TestExactCovariance:
     def test_symmetry(self, neumann_op):
         x, y = (0.7, 1.1), (2.2, 0.4)

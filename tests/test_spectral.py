@@ -6,12 +6,9 @@ from whitefem.fem import dirichlet, neumann, robin
 from whitefem.spectral import (
     Interval,
     Rectangle,
-    SpectralField,
-    apply_solution_operator,
     covariance_function,
     eigenpairs,
     greens_function_1d,
-    sobolev_norm,
     sobolev_resolvent_weight,
     spectral_tail_bound,
 )
@@ -134,50 +131,6 @@ class TestEigenpairs:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             eigenpairs(Interval(0, 1), dirichlet(), 0)
-
-
-class TestSolutionOperator:
-    def test_first_rectangle_mode(self):
-        basis = eigenpairs(Rectangle(np.pi, np.pi), dirichlet(), 1)
-        f = SpectralField(basis, np.array([1.0]))
-        u = apply_solution_operator(f, 1.0)
-        assert u.coefficients[0] == pytest.approx(1.0 / 3.0)
-
-    def test_zero_field(self):
-        basis = eigenpairs(Interval(0, 1), dirichlet(), 4)
-        u = apply_solution_operator(SpectralField(basis, np.zeros(4)), 2.0)
-        assert np.array_equal(u.coefficients, np.zeros(4))
-
-    def test_neumann_constant_mode_scaling(self):
-        basis = eigenpairs(Interval(0, 1), neumann(), 1)
-        u = apply_solution_operator(SpectralField(basis, np.array([1.0])), 2.0)
-        assert u.coefficients[0] == pytest.approx(0.5)
-
-    def test_roundtrip_identity(self):
-        basis = eigenpairs(Rectangle(1, 1), neumann(), 30)
-        rng = np.random.default_rng(5)
-        c = rng.standard_normal(30)
-        u = apply_solution_operator(SpectralField(basis, c), 1.7)
-        back = u.coefficients * (basis.mu + 1.7)
-        assert np.allclose(back, c, rtol=0, atol=1e-15)
-
-
-class TestSobolevNorm:
-    def test_s_zero_is_euclidean(self):
-        basis = eigenpairs(Interval(0, np.pi), dirichlet(), 6)
-        c = np.array([3.0, 0.0, 4.0, 0.0, 0.0, 0.0])
-        assert sobolev_norm(SpectralField(basis, c), 0.0) == pytest.approx(5.0)
-
-    def test_single_mode_negative_index(self):
-        basis = eigenpairs(Rectangle(np.pi, np.pi), dirichlet(), 1)  # mu = 2
-        f = SpectralField(basis, np.array([1.0]))
-        assert sobolev_norm(f, -2.0) == pytest.approx(1.0 / 3.0)
-
-    def test_monotone_decreasing_in_s(self):
-        basis = eigenpairs(Interval(0, 1), dirichlet(), 8)
-        f = SpectralField(basis, np.ones(8))
-        norms = [sobolev_norm(f, s) for s in (-2.0, -1.0, 0.0, 1.0)]
-        assert norms == sorted(norms)
 
 
 class TestCovariance:
