@@ -48,13 +48,26 @@ from .sampling import (
 from .spectral import Interval, ModelDomain, Rectangle, eigenpairs
 
 EXPERIMENTS = ("solve", "sample", "covariance", "converge", "truncate", "holder", "l2diag")
-# Every key that build_config or a runner reads; any other key is refused, so
-# a misspelled key cannot be silently ignored.
-CONFIG_KEYS = frozenset({
-    "domain", "a", "b", "lx", "ly", "mesh_file", "bc", "beta", "lambda", "r", "levels",
-    "seed", "stream_id", "samples", "modes", "truncations", "points", "basis_count",
-    "load_constant",
-})
+# The keys each domain and each experiment's runner read, and the ones every
+# run reads (seed is the config form of --seed).  build_config refuses any
+# other key, so a misspelled or unused key is not silently ignored while it
+# enters the config hash.
+_COMMON_KEYS = frozenset({"bc", "beta", "lambda", "seed"})
+_DOMAIN_KEYS = {
+    "interval": frozenset({"domain", "a", "b"}),
+    "rectangle": frozenset({"domain", "lx", "ly"}),
+    "mesh_file": frozenset({"mesh_file"}),
+}
+_EXPERIMENT_KEYS = {
+    "solve": frozenset({"levels", "load_constant"}),
+    "sample": frozenset({"levels", "samples", "stream_id", "points"}),
+    "covariance": frozenset({"levels", "samples", "stream_id", "points"}),
+    "converge": frozenset({"levels", "r", "basis_count"}),
+    "truncate": frozenset({"r", "modes", "truncations"}),
+    "holder": frozenset({"levels", "points"}),
+    "l2diag": frozenset({"modes"}),
+}
+CONFIG_KEYS = _COMMON_KEYS.union(*_DOMAIN_KEYS.values(), *_EXPERIMENT_KEYS.values())
 
 
 class ConfigError(Exception):
@@ -193,6 +206,11 @@ def build_config(experiment: str, raw: dict[str, str], seed_override: int | None
         else:
             raise ConfigError("domain", f"must be 'interval' or 'rectangle', got {kind!r}")
     dim = 2 if mesh_file is not None else domain.dim
+    source = "mesh_file" if domain is None else raw["domain"]
+    unread = sorted(set(raw) - _COMMON_KEYS - _DOMAIN_KEYS[source] - _EXPERIMENT_KEYS[experiment])
+    if unread:
+        where = "mesh_file" if domain is None else f"domain = {source}"
+        raise ConfigError(unread[0], f"not read by experiment '{experiment}' with {where}")
 
     bc_kind = raw.get("bc")
     if bc_kind is None:
@@ -441,7 +459,6 @@ def run_l2diag(cfg: ExperimentConfig):
         "modes": cfg.modes,
         "total": float(partial[-1]),
         "tail_bound": tail,
-        "finite": bool(np.isfinite(tail)),
     }
     return report, header, rows
 

@@ -19,6 +19,7 @@ import numpy as np
 from .fem import (
     BoundaryCondition,
     FactorizedSystem,
+    _SOLVE_CHUNK,
     assemble_mass,  # unused here; perfbench/test_checks.py looks the name up in this module
     element_gradients,
     quadrature_points,
@@ -112,6 +113,9 @@ class _LevelContext:
     elements at a time, so no (modes x quadrature points) array is built.
     Mode values are gathered from the 1D modes at the distinct quadrature
     coordinates of each axis; they equal `basis.evaluate` at the points.
+    A block of modes holds one (n_nodes, modes) array, its solutions (for
+    the quadrature rule, first its loads); its other arrays span one chunk
+    of elements, _SOLVE_CHUNK modes or one axis's distinct coordinates.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
@@ -181,16 +185,29 @@ class _LevelContext:
         load_rule selects how mode loads enter the discrete solve:
         "interpolation" uses M times the nodal interpolant, "quadrature" the
         element-quadrature projection (the genuine Ritz-Galerkin load).
+
+        The C-ordered result is the only (n_nodes, k1 - k0) array: it is
+        filled _SOLVE_CHUNK columns at a time, the chunks the whole block's
+        solve would take, so every value has the bits of that solve.  An
+        interpolation chunk's nodal values are evaluated, multiplied by M and
+        solved into the chunk's columns; quadrature loads are solved in place.
         """
-        pts = self.mesh.nodes[:, 0] if self.mesh.dim == 1 else self.mesh.nodes
+        width = k1 - k0
         if load_rule == "interpolation":
-            nodal = basis.evaluate(pts, k0, k1)  # (B, n_nodes)
-            sols = self.system.solve(self.M @ nodal.T)
+            sols = np.empty((self.mesh.n_nodes, width))
+            pts = self.mesh.nodes[:, 0] if self.mesh.dim == 1 else self.mesh.nodes
         elif load_rule == "quadrature":
-            sols = self.system.solve(self.quadrature_loads(basis, k0, k1))
+            sols = self.quadrature_loads(basis, k0, k1)
         else:
             raise ValueError(f"unknown load rule {load_rule!r}")
-        return np.ascontiguousarray(sols)
+        for c0 in range(0, width, _SOLVE_CHUNK):
+            cols = slice(c0, min(c0 + _SOLVE_CHUNK, width))
+            if load_rule == "interpolation":
+                load = self.M @ basis.evaluate(pts, k0 + cols.start, k0 + cols.stop).T
+            else:
+                load = sols[:, cols]
+            sols[:, cols] = self.system.solve(load)
+        return sols
 
     def l2_errors(self, basis: EigenBasis, lam: float, k0: int, k1: int, sols: np.ndarray) -> np.ndarray:
         """||T e_k - u_k||_L2^2 for modes k0..k1 and P1 functions u_k with
@@ -227,6 +244,11 @@ def deterministic_fem_error(
     When basis_count is omitted the count doubles until the last doubling
     changed every level's partial sum by under 1%, capped at 20000 modes;
     the realized relative increments are recorded in the report.
+
+    Modes are taken in blocks of 256 (_BLOCK), the width the error kernel
+    reduces at once.  Per level and block, the only array of that width is
+    the (n_nodes, 256) solution array of _LevelContext.solutions; loads and
+    solves pass through it 32 columns at a time.
 
     The reported per-level tail bound is the coercivity bound
     (2 / lam)^2 * sum_{k > count} (1 + mu_k)^{-r}; it is rigorous but loose,

@@ -160,7 +160,7 @@ class TestCliRuns:
         assert code == 0
         (report_path,) = outdir.glob("l2diag/*/report.json")
         report = json.loads(report_path.read_text())
-        assert report["finite"] is True
+        assert np.isfinite(report["tail_bound"])
 
     def test_holder_experiment(self, tmp_path):
         x0 = np.array([np.pi / 2, np.pi / 2])
@@ -259,6 +259,21 @@ def test_misspelled_key_is_config_error(tmp_path, capsys):
     code, outdir = run_cli(tmp_path, "sample", config)
     assert code == 2
     assert "field 'sampels': unknown key" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("experiment, config, fld", [
+    ("truncate", TRUNCATE_CONFIG + "samples = 5\nlx = 7\n", "lx"),
+    ("truncate", TRUNCATE_CONFIG + "samples = 5\n", "samples"),
+    ("converge", CONVERGE_CONFIG + "a = 0\n", "a"),
+    ("l2diag", TRUNCATE_CONFIG.replace("truncations", "levels"), "levels"),
+    ("solve", "mesh_file = mesh.txt\ndomain = rectangle\nbc = neumann\nlambda = 1.0\n", "domain"),
+], ids=["interval-lx", "truncate-samples", "rectangle-a", "l2diag-levels", "mesh-file-domain"])
+def test_unread_key_is_config_error(tmp_path, capsys, experiment, config, fld):
+    # each key is one the parser knows, but not one this experiment or domain reads
+    code, outdir = run_cli(tmp_path, experiment, config)
+    assert code == 2
+    assert f"field '{fld}': not read by experiment '{experiment}'" in capsys.readouterr().err
     assert not outdir.exists()
 
 

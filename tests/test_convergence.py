@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,45 @@ class TestChunkedErrorKernel:
             got = np.concatenate(chunks).reshape(-1, k1 - k0)
             want = basis.evaluate(ctx.flat_points, k0, k1).T
             assert got.tobytes() == want.tobytes()
+
+
+class TestStreamedSolutions:
+    @pytest.mark.parametrize("load_rule", ["interpolation", "quadrature"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_equal_the_whole_block_solve(self, case, load_rule):
+        domain, bc, make_mesh = KERNEL_CASES[case]
+        mesh = make_mesh()
+        basis = eigenpairs(domain, bc, 150)
+        ctx = _LevelContext(mesh, bc, 1.3)
+        pts = mesh.nodes[:, 0] if mesh.dim == 1 else mesh.nodes
+        # widths 70 and 86: neither is a multiple of the 32-column chunk
+        for k0, k1 in ((0, 70), (64, 150)):
+            if load_rule == "interpolation":
+                loads = ctx.M @ basis.evaluate(pts, k0, k1).T
+            else:
+                loads = ctx.quadrature_loads(basis, k0, k1)
+            got = ctx.solutions(basis, k0, k1, load_rule)
+            want = ctx.system.solve(loads)
+            assert got.flags.c_contiguous and got.shape == (mesh.n_nodes, k1 - k0)
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("load_rule", ["interpolation", "quadrature"])
+@pytest.mark.parametrize("bc", [neumann(), dirichlet()], ids=["neumann", "dirichlet"])
+def test_one_mode_block_holds_under_two_solution_arrays(bc, load_rule):
+    mesh = build_rectangle_mesh(np.pi, np.pi, 64, 64)
+    basis = eigenpairs(Rectangle(np.pi, np.pi), bc, 256)
+    ctx = _LevelContext(mesh, bc, 1.0)
+    # factors A (and builds the quadrature scatter), which then stay out of the peak
+    ctx.solutions(basis, 0, 1, load_rule)
+    tracemalloc.start()
+    try:
+        ctx.l2_errors(basis, 1.0, 0, 256, ctx.solutions(basis, 0, 256, load_rule))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (n_nodes, 256) solution array, plus working chunks
+    assert peak < 2 * mesh.n_nodes * 256 * 8
 
 
 @pytest.fixture(scope="module")
