@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import FemFunction, assemble_boundary_mass, assemble_mass, assemble_stiffness
+from .fem import FemFunction
 from .mesh import Mesh
 from .noise import LoadSample
 from .sampling import DiscreteSolutionOperator
@@ -74,23 +74,22 @@ def weak_conormal_derivative(
     u: FemFunction,
     load,
     lam: float,
-    K: sp.sparray | None = None,
-    M: sp.sparray | None = None,
+    *,
+    K: sp.sparray,
+    M: sp.sparray,
 ) -> BoundaryFunction:
     """Boundary functional phi_i -> a0(u, phi_i) - <f, phi_i>, i on the boundary.
 
     This realizes the volume definition of the conormal derivative exactly on
     V_h test functions: d = (K c + lam M c - b) restricted to boundary rows.
-    `load` may be a LoadSample or a raw dual vector.
+    `load` may be a LoadSample or a raw dual vector.  K and M are the mesh's
+    stiffness and mass matrices, assembled once by their owner (for example
+    `DiscreteSolutionOperator.K` and `.M`).
     """
     mesh = u.mesh
     b = load.b if isinstance(load, LoadSample) else np.asarray(load, dtype=np.float64)
     if b.shape != (mesh.n_nodes,):
         raise ValueError("load vector does not match the mesh of u")
-    if K is None:
-        K = assemble_stiffness(mesh)
-    if M is None:
-        M = assemble_mass(mesh)
     residual = K @ u.coefficients + lam * (M @ u.coefficients) - b
     idx = mesh.boundary_nodes()
     return BoundaryFunction(mesh, idx, residual[idx], FUNCTIONAL)
@@ -102,19 +101,21 @@ def robin_residual(
     lam: float,
     beta: float,
     basis: "ScaleSpaceBasis | None" = None,
-    K: sp.sparray | None = None,
-    M: sp.sparray | None = None,
+    *,
+    K: sp.sparray,
+    M: sp.sparray,
     R: sp.sparray | None = None,
 ) -> float:
     """Scale-space norm of d + beta R c on boundary test functions.
 
-    beta = 0 degenerates to the Neumann residual.  For a Galerkin solution
-    with its own load the value is at solver-residual level.
+    beta = 0 degenerates to the Neumann residual, and only then may the
+    boundary mass matrix R be omitted.  For a Galerkin solution with its own
+    load the value is at solver-residual level.
     """
     d = weak_conormal_derivative(u, load, lam, K=K, M=M)
     if beta != 0.0:
         if R is None:
-            R = assemble_boundary_mass(u.mesh)
+            raise ValueError("beta != 0 needs the boundary mass matrix R")
         rc = (R @ u.coefficients)[d.node_indices]
         d = BoundaryFunction(u.mesh, d.node_indices, d.values + beta * rc, FUNCTIONAL)
     if basis is None:
@@ -165,24 +166,24 @@ class ScaleSpaceBasis:
         piecewise-linear trace.  Functional representation: the duality
         pairing with each mode's nodal interpolant.
         """
-        order = _chain_positions(g.node_indices, self.chain)
-        vals = g.values[order]
+        vals = g.values[_chain_positions(g.node_indices, self.chain)]
         if self.mesh.dim == 1:
-            return vals.copy()
+            return vals
         if g.kind == FUNCTIONAL:
             modes = self._mode_values(self.arclength)
             return modes @ vals
-        s0 = self.arclength
-        s1 = np.append(self.arclength[1:], self.perimeter)
-        v0 = vals
-        v1 = np.append(vals[1:], vals[0])
-        seg_len = s1 - s0
+        s0, seg_len, v0, v1 = self._segments(vals)
         # Quadrature points along every facet at once: (n_seg, n_q).
         sq = s0[:, None] + seg_len[:, None] * _EDGE_T[None, :]
         gq = v0[:, None] + (v1 - v0)[:, None] * _EDGE_T[None, :]
         wq = seg_len[:, None] * _EDGE_W[None, :]
         modes = self._mode_values(sq.ravel())
         return modes @ (gq * wq).ravel()
+
+    def _segments(self, vals: np.ndarray):
+        """Start arclength, length and end values of each facet, in chain order."""
+        s1 = np.append(self.arclength[1:], self.perimeter)
+        return self.arclength, s1 - self.arclength, vals, np.append(vals[1:], vals[0])
 
     def h_minus_half_coefficients(self, g: BoundaryFunction) -> np.ndarray:
         """gamma_k = (g, f_k) in the weighted H^{-1/2} inner product."""
@@ -196,11 +197,10 @@ class ScaleSpaceBasis:
         if self.mesh.dim == 1:
             return 0.0
         if g.kind == TRACE:
-            # |gamma_k| <= ||g||_{H^{-1/2}} <= ||g||_{L2(boundary)}
-            R = assemble_boundary_mass(self.mesh)
-            full = np.zeros(self.mesh.n_nodes)
-            full[g.node_indices] = g.values
-            bound_sq = float(full @ (R @ full))
+            # |gamma_k| <= ||g||_{H^{-1/2}} <= ||g||_{L2(boundary)}, whose square
+            # is sum over facets of L/3 (v0^2 + v0 v1 + v1^2), the same as v^T R v
+            _, seg_len, v0, v1 = self._segments(g.values[_chain_positions(g.node_indices, self.chain)])
+            bound_sq = float(np.sum(seg_len / 3.0 * (v0 * v0 + v0 * v1 + v1 * v1)))
         else:
             bound_sq = (2.0 / self.perimeter) * float(np.sum(np.abs(g.values))) ** 2
         return bound_sq / self.n_modes  # sum_{k>K} k^{-2} < 1/K

@@ -14,7 +14,7 @@ seed is byte-identical.  The run directory is created only when the
 experiment succeeds, so a failed run leaves no output behind.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 acceptance-threshold violation.
+4 acceptance-threshold violation (or an unconverged statistic).
 """
 
 from __future__ import annotations
@@ -25,14 +25,17 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .convergence import (
+    ADAPT_CAP,
     deterministic_fem_error,
     holder_modulus,
     l2_realization_diagnostic,
+    pair_separations,
     truncation_error_closed_form,
 )
 from .fem import BoundaryCondition, FactorizedSystem, locate_points
@@ -46,28 +49,6 @@ from .sampling import (
     path_point_values,
 )
 from .spectral import Interval, ModelDomain, Rectangle, eigenpairs
-
-EXPERIMENTS = ("solve", "sample", "covariance", "converge", "truncate", "holder", "l2diag")
-# The keys each domain and each experiment's runner read, and the ones every
-# run reads (seed is the config form of --seed).  build_config refuses any
-# other key, so a misspelled or unused key is not silently ignored while it
-# enters the config hash.
-_COMMON_KEYS = frozenset({"bc", "beta", "lambda", "seed"})
-_DOMAIN_KEYS = {
-    "interval": frozenset({"domain", "a", "b"}),
-    "rectangle": frozenset({"domain", "lx", "ly"}),
-    "mesh_file": frozenset({"mesh_file"}),
-}
-_EXPERIMENT_KEYS = {
-    "solve": frozenset({"levels", "load_constant"}),
-    "sample": frozenset({"levels", "samples", "stream_id", "points"}),
-    "covariance": frozenset({"levels", "samples", "stream_id", "points"}),
-    "converge": frozenset({"levels", "r", "basis_count"}),
-    "truncate": frozenset({"r", "modes", "truncations"}),
-    "holder": frozenset({"levels", "points"}),
-    "l2diag": frozenset({"modes"}),
-}
-CONFIG_KEYS = _COMMON_KEYS.union(*_DOMAIN_KEYS.values(), *_EXPERIMENT_KEYS.values())
 
 
 class ConfigError(Exception):
@@ -100,20 +81,19 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 @dataclass
 class ExperimentConfig:
+    """A config as read so far: its text, and the value of every key it reads."""
+
     experiment: str
-    domain: ModelDomain | None
     mesh_file: str | None
-    bc: BoundaryCondition
-    lam: float
-    r: float
-    levels: list[int]
-    seed: int
-    stream_id: int
-    samples: int
-    modes: int
-    truncations: list[int]
-    points: list[tuple[float, ...]]
-    raw: dict[str, str] = field(default_factory=dict)
+    raw: dict[str, str]
+    values: dict[str, Any] = field(default_factory=dict)
+    domain: ModelDomain | None = None
+    bc: BoundaryCondition | None = None
+    lam: float | None = None
+    seed: int | None = None
+
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     @property
     def dim(self) -> int:
@@ -135,127 +115,122 @@ class ExperimentConfig:
         return build_rectangle_mesh(self.domain.lx, self.domain.ly, n, n)
 
 
-def _get_float(raw: dict[str, str], key: str, default=None) -> float:
-    if key not in raw:
-        if default is None:
+class Key(NamedTuple):
+    """One config key: how its text parses, its default and its allowed values.
+
+    A ValueError from `parse` is reported as "not <what>".  A default of None
+    makes the key required; a callable default is given the config read so
+    far.  `check` returns why a value is refused, or None.
+    """
+
+    parse: Callable[[str, ExperimentConfig], Any]
+    what: str
+    default: Any = None
+    check: Callable[[Any, ExperimentConfig], str | None] = lambda value, cfg: None
+
+
+def _read(cfg: ExperimentConfig, key: str, spec: Key):
+    """The one getter: parse, default and check `key`, and record its value in cfg."""
+    text = cfg.raw.get(key)
+    if text is None:
+        if spec.default is None:
             raise ConfigError(key, "required")
-        return default
-    try:
-        return float(raw[key])
-    except ValueError:
-        raise ConfigError(key, f"not a number: {raw[key]!r}") from None
+        value = spec.default(cfg) if callable(spec.default) else spec.default
+    else:
+        try:
+            value = spec.parse(text, cfg)
+        except ValueError:
+            raise ConfigError(key, f"not {spec.what}: {text!r}") from None
+    refusal = spec.check(value, cfg)
+    if refusal:
+        raise ConfigError(key, refusal)
+    cfg.values[key] = value
+    return value
 
 
-def _get_int(raw: dict[str, str], key: str, default=None) -> int:
-    if key not in raw:
-        if default is None:
-            raise ConfigError(key, "required")
-        return default
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(key, f"not an integer: {raw[key]!r}") from None
-
-
-def _get_int_list(raw: dict[str, str], key: str, default=None) -> list[int]:
-    if key not in raw:
-        if default is None:
-            raise ConfigError(key, "required")
-        return default
-    try:
-        return [int(tok) for tok in raw[key].replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(key, f"not an integer list: {raw[key]!r}") from None
-
-
-def _get_points(raw: dict[str, str], key: str, dim: int) -> list[tuple[float, ...]]:
-    if key not in raw:
-        return []
-    pts = []
-    for chunk in raw[key].split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+def _points(text: str, cfg: ExperimentConfig) -> list[tuple[float, ...]]:
+    pts, dim = [], cfg.dim
+    for chunk in filter(None, (part.strip() for part in text.split(";"))):
         try:
             coords = tuple(float(t) for t in chunk.replace(",", " ").split())
         except ValueError:
-            raise ConfigError(key, f"bad coordinates {chunk!r}") from None
+            raise ConfigError("points", f"bad coordinates {chunk!r}") from None
         if len(coords) != dim:
-            raise ConfigError(key, f"point {chunk!r} has {len(coords)} coordinates, expected {dim}")
+            raise ConfigError("points", f"point {chunk!r} has {len(coords)} coordinates, expected {dim}")
         pts.append(coords)
     return pts
 
 
-def build_config(experiment: str, raw: dict[str, str], seed_override: int | None = None) -> ExperimentConfig:
-    if experiment not in EXPERIMENTS:
-        raise ConfigError("experiment", f"unknown experiment {experiment!r}")
-    unknown = sorted(set(raw) - CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(unknown[0], "unknown key")
+def _positive(value, cfg):
+    return None if value > 0 else f"must be positive, got {value}"
 
-    mesh_file = raw.get("mesh_file")
-    domain: ModelDomain | None = None
-    if mesh_file is None:
-        kind = raw.get("domain")
-        if kind is None:
-            raise ConfigError("domain", "required (or provide mesh_file)")
-        if kind == "interval":
-            domain = Interval(_get_float(raw, "a", 0.0), _get_float(raw, "b"))
-        elif kind == "rectangle":
-            domain = Rectangle(_get_float(raw, "lx"), _get_float(raw, "ly"))
-        else:
-            raise ConfigError("domain", f"must be 'interval' or 'rectangle', got {kind!r}")
-    dim = 2 if mesh_file is not None else domain.dim
-    source = "mesh_file" if domain is None else raw["domain"]
-    unread = sorted(set(raw) - _COMMON_KEYS - _DOMAIN_KEYS[source] - _EXPERIMENT_KEYS[experiment])
-    if unread:
-        where = "mesh_file" if domain is None else f"domain = {source}"
-        raise ConfigError(unread[0], f"not read by experiment '{experiment}' with {where}")
 
-    bc_kind = raw.get("bc")
-    if bc_kind is None:
-        raise ConfigError("bc", "required")
-    if bc_kind == "robin":
-        if "beta" not in raw:
-            raise ConfigError("beta", "required for Robin boundary conditions")
-        bc = BoundaryCondition("robin", _get_float(raw, "beta"))
-    elif bc_kind in ("dirichlet", "neumann"):
-        if "beta" in raw:
-            raise ConfigError("beta", f"not allowed for bc = {bc_kind}")
-        bc = BoundaryCondition(bc_kind)
-    else:
-        raise ConfigError("bc", f"must be dirichlet, neumann or robin, got {bc_kind!r}")
+def _at_least(least: int):
+    return lambda value, cfg: None if value >= least else f"must be at least {least}, got {value}"
 
-    lam = _get_float(raw, "lambda")
-    if not lam > 0:
-        raise ConfigError("lambda", f"must be positive, got {lam}")
-    r = _get_float(raw, "r", dim / 2.0 - 1.0 + 0.1)
-    if not r > dim / 2.0 - 1.0:
-        raise ConfigError("r", f"must exceed d/2 - 1 = {dim / 2.0 - 1.0}, got {r}")
 
-    levels = _get_int_list(raw, "levels", [8])
-    if not levels or any(n < 1 for n in levels):
-        raise ConfigError("levels", f"need positive subdivision counts, got {raw.get('levels')!r}")
+def _r_floor(cfg: ExperimentConfig) -> float:
+    return cfg.dim / 2.0 - 1.0
 
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        domain=domain,
-        mesh_file=mesh_file,
-        bc=bc,
-        lam=lam,
-        r=r,
-        levels=levels,
-        seed=seed_override if seed_override is not None else _get_int(raw, "seed", 0),
-        stream_id=_get_int(raw, "stream_id", 0),
-        samples=_get_int(raw, "samples", 10_000),
-        modes=_get_int(raw, "modes", 4096),
-        truncations=_get_int_list(raw, "truncations", [10, 40, 160]),
-        points=_get_points(raw, "points", dim),
-        raw=dict(raw),
-    )
-    if experiment in ("covariance", "holder") and len(cfg.points) < 2:
-        raise ConfigError("points", f"experiment '{experiment}' needs at least 2 points")
-    return cfg
+
+def _levels(levels, cfg):
+    if levels and min(levels) >= 1:
+        return None
+    return f"need positive subdivision counts, got {cfg.raw.get('levels')!r}"
+
+
+def _one_level(levels, cfg):
+    return _levels(levels, cfg) or (f"experiment '{cfg.experiment}' runs on one level, got {len(levels)}"
+                                    if len(levels) > 1 else None)
+
+
+def _two_points(points, cfg):
+    return None if len(points) >= 2 else f"experiment '{cfg.experiment}' needs at least 2 points"
+
+
+def _point_pairs(points, cfg):
+    """Holder fits consecutive points as pairs: an even count of at least 10."""
+    if len(points) < 10:
+        return _two_points(points, cfg) or "holder needs at least 5 pairs (10 points)"
+    if len(points) % 2:
+        return f"holder pairs points two at a time, got an odd count {len(points)}"
+    try:
+        pair_separations(list(zip(points[::2], points[1::2])))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_NUMBER = (lambda text, cfg: float(text), "a number")
+_INTEGER = (lambda text, cfg: int(text), "an integer")
+_INTEGERS = (lambda text, cfg: [int(tok) for tok in text.replace(",", " ").split()], "an integer list")
+# The domains a config can name: the shape built from them, and its keys in
+# the shape's argument order.
+_DOMAINS = {
+    "interval": (Interval, {
+        "a": Key(*_NUMBER, 0.0),
+        "b": Key(*_NUMBER, check=lambda b, cfg: (
+            None if b > cfg["a"] else f"must exceed a = {cfg['a']}, got {b}")),
+    }),
+    "rectangle": (Rectangle, {
+        "lx": Key(*_NUMBER, check=_positive),
+        "ly": Key(*_NUMBER, check=_positive),
+    }),
+}
+# Read by every experiment (beta only with bc = robin, seed unless --seed).
+_COMMON_KEYS = {
+    "bc": Key(lambda text, cfg: text, "a word", check=lambda kind, cfg: (
+        None if kind in ("dirichlet", "neumann", "robin")
+        else f"must be dirichlet, neumann or robin, got {kind!r}")),
+    "beta": Key(*_NUMBER, check=_positive),
+    "lambda": Key(*_NUMBER, check=_positive),
+    "seed": Key(*_INTEGER, 0),
+}
+_ONE_LEVEL = Key(*_INTEGERS, (8,), _one_level)
+_STREAM_ID = Key(*_INTEGER, 0)
+_R = Key(*_NUMBER, lambda cfg: _r_floor(cfg) + 0.1,
+         lambda r, cfg: None if r > _r_floor(cfg) else f"must exceed d/2 - 1 = {_r_floor(cfg)}, got {r}")
+_MODES = Key(*_INTEGER, 4096, _at_least(1))
 
 
 def effective_config_lines(cfg: ExperimentConfig) -> list[str]:
@@ -295,14 +270,10 @@ def write_json(path: Path, payload: dict) -> None:
 # -- experiments -----------------------------------------------------------------
 
 
-def _mesh_levels(cfg: ExperimentConfig) -> list[Mesh]:
-    return [cfg.base_mesh(n) for n in cfg.levels]
-
-
 def _probe_mesh(cfg: ExperimentConfig) -> Mesh:
-    """The first-level mesh, after checking that every probe point lies on it."""
-    mesh = cfg.base_mesh(cfg.levels[0])
-    for p in cfg.points:
+    """The mesh of the one level, after checking that every probe point lies on it."""
+    mesh = cfg.base_mesh(cfg["levels"][0])
+    for p in cfg["points"]:
         try:
             locate_points(mesh, [p])
         except ValueError:
@@ -310,21 +281,14 @@ def _probe_mesh(cfg: ExperimentConfig) -> Mesh:
     return mesh
 
 
-def _require_domain(cfg: ExperimentConfig):
-    if cfg.domain is None:
-        raise ConfigError("domain", f"experiment '{cfg.experiment}' needs a model domain")
-    return cfg.domain
-
-
 def run_solve(cfg: ExperimentConfig):
-    load_const = _get_float(cfg.raw, "load_constant", 1.0)
-    mesh = cfg.base_mesh(cfg.levels[0])
+    load_const = cfg["load_constant"]
+    mesh = cfg.base_mesh(cfg["levels"][0])
     system = FactorizedSystem(mesh, cfg.bc, cfg.lam)
     u = system.solve_checked(system.M @ np.full(mesh.n_nodes, load_const))
     rows = [[i, *mesh.nodes[i], u.coefficients[i]] for i in range(mesh.n_nodes)]
     header = ["node", *(f"x{d}" for d in range(mesh.dim)), "value"]
     report = {
-        "experiment": "solve",
         "n_nodes": mesh.n_nodes,
         "h": mesh.h,
         "load_constant": load_const,
@@ -336,14 +300,13 @@ def run_solve(cfg: ExperimentConfig):
 def run_sample(cfg: ExperimentConfig):
     mesh = _probe_mesh(cfg)
     op = DiscreteSolutionOperator(mesh, cfg.bc, cfg.lam)
-    points = cfg.points or [tuple(mesh.nodes[mesh.n_nodes // 2])]
+    points = cfg["points"] or [tuple(mesh.nodes[mesh.n_nodes // 2])]
     G = op.point_functionals(points)
-    vals = path_point_values(G, cfg.samples, GaussianStream(cfg.seed, cfg.stream_id))
+    vals = path_point_values(G, cfg["samples"], GaussianStream(cfg.seed, cfg["stream_id"]))
     rows = [[i, *v] for i, v in enumerate(vals)]
     header = ["path", *(f"p{j}" for j in range(len(points)))]
     report = {
-        "experiment": "sample",
-        "n_paths": cfg.samples,
+        "n_paths": cfg["samples"],
         "points": [list(p) for p in points],
         "sample_mean": [float(v) for v in vals.mean(axis=0)],
     }
@@ -359,15 +322,15 @@ def run_covariance(cfg: ExperimentConfig):
     """
     mesh = _probe_mesh(cfg)
     op = DiscreteSolutionOperator(mesh, cfg.bc, cfg.lam)
-    stream = GaussianStream(cfg.seed, cfg.stream_id)
-    moments = monte_carlo_moments(op, cfg.points, cfg.samples, stream)
-    C = exact_covariances(op, cfg.points)
+    points, n = cfg["points"], cfg["samples"]
+    moments = monte_carlo_moments(op, points, n, GaussianStream(cfg.seed, cfg["stream_id"]))
+    C = exact_covariances(op, points)
     # Not an error estimated from the paths it judges: at small path counts
     # that is often too small, and the check then fails correct output.
-    se_cov = covariance_standard_error(C, cfg.samples)
+    se_cov = covariance_standard_error(C, n)
     rows, pass_all = [], True
-    for i in range(len(cfg.points)):
-        for j in range(i, len(cfg.points)):
+    for i in range(len(points)):
+        for j in range(i, len(points)):
             exact = float(C[i, j])
             mc = moments.covariance[i, j]
             se = se_cov[i, j]
@@ -376,23 +339,22 @@ def run_covariance(cfg: ExperimentConfig):
             rows.append([i, j, exact, mc, se, int(ok)])
     header = ["i", "j", "exact", "mc", "se", "within_4se"]
     report = {
-        "experiment": "covariance",
-        "n_paths": cfg.samples,
-        "points": [list(p) for p in cfg.points],
+        "n_paths": n,
+        "points": [list(p) for p in points],
         "all_within_4se": bool(pass_all),
     }
     return report, header, rows, (0 if pass_all else 4)
 
 
 def run_converge(cfg: ExperimentConfig):
-    domain = _require_domain(cfg)
-    meshes = _mesh_levels(cfg)
-    basis_count = _get_int(cfg.raw, "basis_count", 0) or None
-    rep = deterministic_fem_error(domain, cfg.bc, cfg.lam, cfg.r, meshes, basis_count=basis_count)
+    """Mode-sum errors per level; exit 4 when an adaptive budget stopped at its cap."""
+    meshes = [cfg.base_mesh(n) for n in cfg["levels"]]
+    adaptive = cfg["basis_count"] == 0
+    budget = None if adaptive else cfg["basis_count"]
+    rep = deterministic_fem_error(cfg.domain, cfg.bc, cfg.lam, cfg["r"], meshes, basis_count=budget)
     rows = [[lv.h, lv.error_sq, lv.tail_bound] for lv in rep.levels]
     header = ["h", "error_sq", "tail_bound"]
     report = {
-        "experiment": "converge",
         "bc": rep.bc_kind,
         "lambda": rep.lam,
         "beta": rep.beta,
@@ -403,23 +365,22 @@ def run_converge(cfg: ExperimentConfig):
         "increments": rep.increments,
         "levels": [{"h": lv.h, "error_sq": lv.error_sq, "tail_bound": lv.tail_bound} for lv in rep.levels],
     }
-    return report, header, rows
+    return report, header, rows, (4 if adaptive and rep.basis_count == ADAPT_CAP else 0)
 
 
 def run_truncate(cfg: ExperimentConfig):
-    domain = _require_domain(cfg)
-    basis = eigenpairs(domain, cfg.bc, max(cfg.modes, max(cfg.truncations) + 1))
+    truncations = cfg["truncations"]
+    basis = eigenpairs(cfg.domain, cfg.bc, max(cfg["modes"], max(truncations) + 1))
     rows = []
     values = []
-    for m in cfg.truncations:
-        val = truncation_error_closed_form(basis, cfg.lam, cfg.r, m)
+    for m in truncations:
+        val = truncation_error_closed_form(basis, cfg.lam, cfg["r"], m)
         rows.append([m, val.value, val.tail_bound])
         values.append(val.value)
     header = ["m", "error_sq", "tail_bound"]
     report = {
-        "experiment": "truncate",
-        "r": cfg.r,
-        "truncations": cfg.truncations,
+        "r": cfg["r"],
+        "truncations": list(truncations),
         "values": values,
         "strictly_decreasing": bool(np.all(np.diff(values) < 0)),
     }
@@ -429,15 +390,12 @@ def run_truncate(cfg: ExperimentConfig):
 def run_holder(cfg: ExperimentConfig):
     mesh = _probe_mesh(cfg)
     op = DiscreteSolutionOperator(mesh, cfg.bc, cfg.lam)
-    pts = cfg.points
-    pairs = [(pts[i], pts[i + 1]) for i in range(0, len(pts) - 1, 2)]
-    if len(pairs) < 5:
-        raise ConfigError("points", "holder needs at least 5 pairs (10 points)")
+    pts = cfg["points"]
+    pairs = list(zip(pts[::2], pts[1::2]))
     fit = holder_modulus(op, pairs)
     rows = [[i, *p, *q] for i, (p, q) in enumerate(pairs)]
     header = ["pair", *(f"x{d}" for d in range(mesh.dim)), *(f"y{d}" for d in range(mesh.dim))]
     report = {
-        "experiment": "holder",
         "alpha": fit.alpha,
         "c": fit.c,
         "max_residual": fit.max_residual,
@@ -446,8 +404,7 @@ def run_holder(cfg: ExperimentConfig):
 
 
 def run_l2diag(cfg: ExperimentConfig):
-    domain = _require_domain(cfg)
-    basis = eigenpairs(domain, cfg.bc, cfg.modes)
+    basis = eigenpairs(cfg.domain, cfg.bc, cfg["modes"])
     partial, tail = l2_realization_diagnostic(basis, cfg.lam)
     step = max(1, partial.size // 64)
     rows = [[k + 1, partial[k]] for k in range(0, partial.size, step)]
@@ -455,23 +412,88 @@ def run_l2diag(cfg: ExperimentConfig):
         rows.append([partial.size, partial[-1]])
     header = ["modes", "partial_sum"]
     report = {
-        "experiment": "l2diag",
-        "modes": cfg.modes,
+        "modes": cfg["modes"],
         "total": float(partial[-1]),
         "tail_bound": tail,
     }
     return report, header, rows
 
 
-_RUNNERS = {
-    "solve": run_solve,
-    "sample": run_sample,
-    "covariance": run_covariance,
-    "converge": run_converge,
-    "truncate": run_truncate,
-    "holder": run_holder,
-    "l2diag": run_l2diag,
+class Experiment(NamedTuple):
+    run: Callable
+    keys: dict[str, Key]        # the keys the runner reads, beyond the common and domain keys
+    needs_domain: bool = False  # a model domain, not a mesh_file
+
+
+# The one table of experiments.  build_config reads exactly the chosen
+# experiment's keys, so a key it does not read is refused rather than ignored.
+_EXPERIMENT_TABLE = {
+    "solve": Experiment(run_solve, {"levels": _ONE_LEVEL, "load_constant": Key(*_NUMBER, 1.0)}),
+    "sample": Experiment(run_sample, {
+        "levels": _ONE_LEVEL, "samples": Key(*_INTEGER, 10_000, _at_least(1)),
+        "stream_id": _STREAM_ID, "points": Key(_points, "a point list", ()),
+    }),
+    "covariance": Experiment(run_covariance, {
+        "levels": _ONE_LEVEL, "samples": Key(*_INTEGER, 10_000, _at_least(2)),
+        "stream_id": _STREAM_ID, "points": Key(_points, "a point list", (), _two_points),
+    }),
+    "converge": Experiment(run_converge, {
+        "levels": Key(*_INTEGERS, (8,), _levels), "r": _R,
+        "basis_count": Key(*_INTEGER, 0, _at_least(0)),
+    }, needs_domain=True),
+    "truncate": Experiment(run_truncate, {
+        "r": _R, "modes": _MODES,
+        "truncations": Key(*_INTEGERS, (10, 40, 160), lambda ms, cfg: None if ms and min(ms) >= 0 else (
+            f"need one or more nonnegative truncations, got {cfg.raw.get('truncations')!r}")),
+    }, needs_domain=True),
+    "holder": Experiment(run_holder, {
+        "levels": _ONE_LEVEL, "points": Key(_points, "a point list", (), _point_pairs),
+    }),
+    "l2diag": Experiment(run_l2diag, {"modes": _MODES}, needs_domain=True),
 }
+EXPERIMENTS = tuple(_EXPERIMENT_TABLE)
+CONFIG_KEYS = frozenset({"domain", "mesh_file", *_COMMON_KEYS}).union(
+    *(keys for _, keys in _DOMAINS.values()), *(entry.keys for entry in _EXPERIMENT_TABLE.values())
+)
+
+
+def build_config(experiment: str, raw: dict[str, str], seed_override: int | None = None) -> ExperimentConfig:
+    if experiment not in _EXPERIMENT_TABLE:
+        raise ConfigError("experiment", f"unknown experiment {experiment!r}")
+    entry = _EXPERIMENT_TABLE[experiment]
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(unknown[0], "unknown key")
+
+    cfg = ExperimentConfig(experiment, raw.get("mesh_file"), dict(raw))
+    if cfg.mesh_file is None:
+        kind = raw.get("domain")
+        if kind is None:
+            raise ConfigError("domain", "required (or provide mesh_file)")
+        if kind not in _DOMAINS:
+            raise ConfigError("domain", f"must be 'interval' or 'rectangle', got {kind!r}")
+        shape, domain_keys = _DOMAINS[kind]
+        cfg.domain = shape(*(_read(cfg, key, spec) for key, spec in domain_keys.items()))
+        reads, where = {"domain", *domain_keys}, f"domain = {kind}"
+    else:
+        reads, where = {"mesh_file"}, "mesh_file"
+    unread = sorted(set(raw) - reads - set(_COMMON_KEYS) - set(entry.keys))
+    if unread:
+        raise ConfigError(unread[0], f"not read by experiment '{experiment}' with {where}")
+
+    bc_kind = _read(cfg, "bc", _COMMON_KEYS["bc"])
+    if (bc_kind == "robin") != ("beta" in raw):
+        raise ConfigError("beta", "required for Robin boundary conditions" if bc_kind == "robin"
+                          else f"not allowed for bc = {bc_kind}")
+    beta = _read(cfg, "beta", _COMMON_KEYS["beta"]) if bc_kind == "robin" else None
+    cfg.bc = BoundaryCondition(bc_kind, beta)
+    cfg.lam = _read(cfg, "lambda", _COMMON_KEYS["lambda"])
+    cfg.seed = _read(cfg, "seed", _COMMON_KEYS["seed"]) if seed_override is None else seed_override
+    for key, spec in entry.keys.items():
+        _read(cfg, key, spec)
+    if entry.needs_domain and cfg.domain is None:
+        raise ConfigError("domain", f"experiment '{experiment}' needs a model domain")
+    return cfg
 
 
 def run(experiment: str, config_path: str, outdir: str, seed: int | None = None) -> int:
@@ -490,13 +512,14 @@ def run(experiment: str, config_path: str, outdir: str, seed: int | None = None)
     meta = {
         "config_hash": digest,
         "seed": cfg.seed,
-        "stream_id": cfg.stream_id,
+        # every run records its noise stream, the default where it draws none
+        "stream_id": cfg.values.get("stream_id", _STREAM_ID.default),
         "version": __version__,
         "experiment": experiment,
         "config": effective_config_lines(cfg),
     }
     try:
-        result = _RUNNERS[experiment](cfg)
+        result = _EXPERIMENT_TABLE[experiment].run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -507,7 +530,7 @@ def run(experiment: str, config_path: str, outdir: str, seed: int | None = None)
     report, header, rows = result[:3]
     status = result[3] if len(result) > 3 else 0
     csv_meta = {"config_hash": digest, "seed": cfg.seed, "version": __version__}
-    report = {"meta": csv_meta, **report}
+    report = {"meta": csv_meta, "experiment": experiment, **report}
     target = Path(outdir) / experiment / digest
     target.mkdir(parents=True, exist_ok=True)
     write_json(target / "report.json", report)

@@ -47,7 +47,7 @@ _BLOCK = 256
 # with 2 MB of L2 per core).
 _CHUNK = 32
 _ADAPT_START = 512
-_ADAPT_CAP = 20_000
+ADAPT_CAP = 20_000
 _ADAPT_REL = 0.01
 
 
@@ -262,7 +262,7 @@ def deterministic_fem_error(
         raise ValueError("need at least one mesh level")
     meshes = sorted(meshes, key=lambda msh: -msh.h)
     adaptive = basis_count is None
-    cap = _ADAPT_CAP if adaptive else basis_count
+    cap = ADAPT_CAP if adaptive else basis_count
     basis = eigenpairs(domain, bc, cap)
     contexts = [_LevelContext(mesh, bc, lam) for mesh in meshes]
     weights = (1.0 + basis.mu) ** (-r)
@@ -356,6 +356,27 @@ class HolderFit(NamedTuple):
     max_residual: float
 
 
+def pair_separations(pairs: Sequence[tuple]) -> np.ndarray:
+    """Distances |x - y| of the point pairs a Holder fit can use.
+
+    Refuses fewer than 5 pairs, a coincident pair, and separations spanning
+    less than a decade.
+    """
+    if len(pairs) < 5:
+        raise ValueError(f"need at least 5 point pairs, got {len(pairs)}")
+    seps = []
+    for x, y in pairs:
+        ax = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        dist = float(np.linalg.norm(ax - np.atleast_1d(np.asarray(y, dtype=np.float64))))
+        if dist == 0.0:
+            raise ValueError(f"coincident pair {tuple(ax.tolist())}")
+        seps.append(dist)
+    seps = np.array(seps)
+    if seps.max() / seps.min() < 10.0:
+        raise ValueError("pairs must span at least a decade of separations")
+    return seps
+
+
 def holder_modulus(op: DiscreteSolutionOperator, pairs: Sequence[tuple]) -> HolderFit:
     """Fit E|X_h(x) - X_h(y)|^2 ~ C |x-y|^(2 alpha) over point pairs.
 
@@ -363,23 +384,11 @@ def holder_modulus(op: DiscreteSolutionOperator, pairs: Sequence[tuple]) -> Hold
     points, from one probe solve), so the only fitting noise is deviation
     from the power law itself.
     """
-    if len(pairs) < 5:
-        raise ValueError(f"need at least 5 point pairs, got {len(pairs)}")
-    points, seps = [], []
-    for x, y in pairs:
-        ax = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        ay = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        dist = float(np.linalg.norm(ax - ay))
-        if dist == 0.0:
-            raise ValueError(f"coincident pair {tuple(ax)}")
-        points += [ax, ay]
-        seps.append(dist)
+    seps = pair_separations(pairs)
+    points = [np.atleast_1d(np.asarray(p, dtype=np.float64)) for pair in pairs for p in pair]
     C = exact_covariances(op, points)
     x, y = np.arange(0, len(points), 2), np.arange(1, len(points), 2)
     moments = np.maximum(C[x, x] - 2.0 * C[x, y] + C[y, y], 1e-300)
-    seps = np.array(seps)
-    if seps.max() / seps.min() < 10.0:
-        raise ValueError("pairs must span at least a decade of separations")
     X = np.column_stack([np.log(seps), np.ones(seps.size)])
     coef, *_ = np.linalg.lstsq(X, np.log(moments), rcond=None)
     resid = np.log(moments) - X @ coef

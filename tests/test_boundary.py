@@ -11,7 +11,16 @@ from whitefem.boundary import (
     trace,
     weak_conormal_derivative,
 )
-from whitefem.fem import FactorizedSystem, FemFunction, assemble_mass, dirichlet, neumann, robin
+from whitefem.fem import (
+    FactorizedSystem,
+    FemFunction,
+    assemble_boundary_mass,
+    assemble_mass,
+    assemble_stiffness,
+    dirichlet,
+    neumann,
+    robin,
+)
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
 from whitefem.noise import GaussianStream
 from whitefem.sampling import DiscreteSolutionOperator, sample_path_with_load
@@ -45,7 +54,7 @@ class TestWeakConormalDerivative:
         lam = 2.0
         load = assemble_mass(m) @ np.ones(m.n_nodes)
         u = FemFunction(m, np.full(m.n_nodes, 1.0 / lam))
-        d = weak_conormal_derivative(u, load, lam)
+        d = weak_conormal_derivative(u, load, lam, K=assemble_stiffness(m), M=assemble_mass(m))
         assert np.abs(d.values).max() < 1e-10
 
     def test_neumann_path_residual_is_solver_level(self):
@@ -60,8 +69,9 @@ class TestWeakConormalDerivative:
         rng = np.random.default_rng(7)
         u = FemFunction(m, rng.standard_normal(m.n_nodes))
         b = rng.standard_normal(m.n_nodes)
-        d1 = weak_conormal_derivative(u, b, 1.5)
-        d2 = weak_conormal_derivative(FemFunction(m, 2.0 * u.coefficients), 2.0 * b, 1.5)
+        K, M = assemble_stiffness(m), assemble_mass(m)
+        d1 = weak_conormal_derivative(u, b, 1.5, K=K, M=M)
+        d2 = weak_conormal_derivative(FemFunction(m, 2.0 * u.coefficients), 2.0 * b, 1.5, K=K, M=M)
         assert np.allclose(d2.values, 2.0 * d1.values, atol=1e-15)
 
 
@@ -100,6 +110,13 @@ class TestRobinResidual:
         d = weak_conormal_derivative(path, load, 1.0, K=op.K, M=op.M)
         assert neu == scale_space_norm(d, basis).value
 
+    def test_nonzero_beta_needs_boundary_mass(self):
+        m = build_rectangle_mesh(1.0, 1.0, 4, 4)
+        op = DiscreteSolutionOperator(m, robin(0.5), 1.0)
+        path, load = sample_path_with_load(op, GaussianStream(5, 0))
+        with pytest.raises(ValueError, match="boundary mass"):
+            robin_residual(path, load, 1.0, 0.5, K=op.K, M=op.M)
+
 
 class TestScaleSpace:
     def test_chain_is_closed_ccw_loop(self):
@@ -126,6 +143,16 @@ class TestScaleSpace:
         val = np.full(16, 1.0 / np.sqrt(4.0))
         g = BoundaryFunction(m, m.boundary_nodes(), val, "trace")
         assert scale_space_norm(g, basis).value == pytest.approx(1.0, rel=1e-12)
+
+    def test_trace_tail_is_boundary_l2_norm(self):
+        # the facet sum over the boundary chain equals v^T R v with R assembled
+        m = refine_uniform(build_rectangle_mesh(2.0, 1.0, 3, 2))
+        basis = scale_space_basis(m)
+        v = np.zeros(m.n_nodes)
+        v[m.boundary_nodes()] = np.random.default_rng(9).standard_normal(m.boundary_nodes().size)
+        g = BoundaryFunction(m, m.boundary_nodes(), v[m.boundary_nodes()], "trace")
+        want = v @ (assemble_boundary_mass(m) @ v) / basis.n_modes
+        assert basis.tail_sq_bound(g) == pytest.approx(want, rel=1e-13)
 
     def test_homogeneity(self):
         m = build_rectangle_mesh(1.0, 2.0, 3, 2)

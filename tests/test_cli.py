@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,18 @@ samples = 4000
 seed = 11
 points = 1.0,1.0; 1.5707963267948966,1.5707963267948966
 """
+
+INTERVAL = "domain = interval\na = 0\nb = 1\nbc = neumann\nlambda = 1.0\n"
+SQUARE = (
+    "domain = rectangle\nlx = 3.141592653589793\nly = 3.141592653589793\nbc = neumann\nlambda = 1.0\n"
+)
+HOLDER_SEPARATIONS = np.geomspace(0.05, 0.8, 5)
+
+
+def holder_points(seps, x0=(1.5, 1.5)):
+    """A points line pairing x0 with x0 + (s, 0) for each separation s."""
+    return "points = " + "; ".join(f"{x0[0]},{x0[1]}; {x0[0] + s},{x0[1]}" for s in seps) + "\n"
+
 
 TRUNCATE_CONFIG = """\
 domain = interval
@@ -416,3 +429,59 @@ def test_probe_point_outside_mesh_is_config_error(tmp_path, capsys):
     assert code == 2
     assert "field 'points'" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("experiment, config, fld", [
+    ("solve", INTERVAL.replace("neumann", "robin\nbeta = -1"), "beta"),
+    ("solve", SQUARE.replace("lx = 3.141592653589793", "lx = -1"), "lx"),
+    ("solve", INTERVAL.replace("a = 0\nb = 1", "a = 1\nb = 0"), "b"),
+    ("covariance", SQUARE + "levels = 4\nsamples = 1\npoints = 1,1; 2,2\n", "samples"),
+    ("sample", INTERVAL + "levels = 4\nsamples = -3\n", "samples"),
+    ("sample", INTERVAL + "levels = 4\nsamples = 0\n", "samples"),
+    ("l2diag", INTERVAL + "modes = 0\n", "modes"),
+    ("truncate", INTERVAL + "truncations = -1 3\n", "truncations"),
+    ("truncate", INTERVAL + "truncations = ,\n", "truncations"),
+    ("converge", INTERVAL + "levels = 4 8 16\nbasis_count = -4\n", "basis_count"),
+    ("solve", SQUARE + "levels = 4 8 16\n", "levels"),
+    ("sample", INTERVAL + "levels = 4 8\nsamples = 5\n", "levels"),
+    ("covariance", SQUARE + "levels = 4 8\nsamples = 5\npoints = 1,1; 2,2\n", "levels"),
+    ("holder", SQUARE + "levels = 4 8\n" + holder_points(HOLDER_SEPARATIONS), "levels"),
+    ("holder", SQUARE + "levels = 8\n" + holder_points(HOLDER_SEPARATIONS)[:-1] + "; 1,1\n", "points"),
+    ("holder", SQUARE + "levels = 8\n" + holder_points([0.05, 0.1, 0.2, 0.4, 0.0]), "points"),
+    ("holder", SQUARE + "levels = 8\n" + holder_points([0.1, 0.2, 0.3, 0.4, 0.5]), "points"),
+], ids=[
+    "negative-beta", "negative-lx", "b-below-a", "covariance-one-sample", "negative-samples",
+    "zero-samples", "zero-modes", "negative-truncation", "no-truncations", "negative-basis-count",
+    "solve-three-levels", "sample-two-levels", "covariance-two-levels", "holder-two-levels",
+    "holder-odd-points", "holder-coincident-pair", "holder-under-a-decade",
+])
+def test_user_error_exits_2_naming_the_field(tmp_path, capsys, experiment, config, fld):
+    code, outdir = run_cli(tmp_path, experiment, config)
+    assert code == 2
+    assert f"config error: field '{fld}'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_adaptive_converge_exits_4_when_the_mode_cap_stops_it(tmp_path):
+    # r = 0.1 still moves by about 43 % per doubling when the 20,000-mode cap
+    # stops it; r = 1.1 meets the 1 % rule at 2,048 modes
+    for r, want_code, want_modes in ((0.1, 4, 20_000), (1.1, 0, 2048)):
+        config = INTERVAL + f"r = {r}\nlevels = 4 8 16\n"
+        (tmp_path / f"r{r}").mkdir()
+        code, outdir = run_cli(tmp_path / f"r{r}", "converge", config)
+        assert code == want_code
+        (report_path,) = outdir.glob("converge/*/report.json")
+        assert json.loads(report_path.read_text())["basis_count"] == want_modes
+        written = sorted(f.name for f in report_path.parent.iterdir())
+        assert written == ["levels.csv", "meta.json", "report.json"]
+
+
+def test_readme_experiment_table_matches_the_cli():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split("| experiment | keys |\n|---|---|\n", 1)[1]
+    listed = {}
+    for row in table.split("\n\n", 1)[0].splitlines():
+        names, keys = row.strip("|").split("|")
+        for name in re.findall(r"`(\w+)`", names):
+            listed[name] = re.findall(r"`(\w+)`", keys)
+    assert listed == {name: list(entry.keys) for name, entry in whitefem.cli._EXPERIMENT_TABLE.items()}
