@@ -320,7 +320,7 @@ class CameronMartinSystem:
                 for e in vectors:
                     v = v - (e @ (A @ v)) * e
             norm1 = np.sqrt(max(v @ (A @ v), 0.0))
-            if norm1 > _GS_DROP_TOL * max(norm0, 1e-300):
+            if norm1 > _GS_DROP_TOL * max(norm0, 1e-300):  # a NaN norm fails: the vector is dropped
                 vectors.append(v / norm1)
             k += 1
         self.vectors = np.column_stack(vectors) if vectors else np.zeros((n_free, 0))

@@ -10,8 +10,10 @@ writes into ``<outdir>/<experiment>/<config-hash>/``:
 
 All randomness flows through the seeded stream recorded in the outputs, and
 reductions run in fixed batch order, so a rerun with the same config and
-seed is byte-identical.  The run directory is created only when the
-experiment succeeds, so a failed run leaves no output behind.
+seed is byte-identical.  All three outputs are serialized before the run
+directory is created, so a failed run leaves no output behind.  A NaN
+anywhere in them is a numerical failure; so is an infinity in a JSON file,
+where a diverging tail series writes its bound as null (levels.csv: inf).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance-threshold violation (or an unconverged statistic).
@@ -148,13 +150,21 @@ def _read(cfg: ExperimentConfig, key: str, spec: Key):
     return value
 
 
+def _finite(text: str) -> float:
+    """float(text), with nan and the infinities refused by ValueError."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _points(text: str, cfg: ExperimentConfig) -> list[tuple[float, ...]]:
     pts, dim = [], cfg.dim
     for chunk in filter(None, (part.strip() for part in text.split(";"))):
         try:
-            coords = tuple(float(t) for t in chunk.replace(",", " ").split())
+            coords = tuple(_finite(t) for t in chunk.replace(",", " ").split())
         except ValueError:
-            raise ConfigError("points", f"bad coordinates {chunk!r}") from None
+            raise ConfigError("points", f"not finite numbers: {chunk!r}") from None
         if len(coords) != dim:
             raise ConfigError("points", f"point {chunk!r} has {len(coords)} coordinates, expected {dim}")
         pts.append(coords)
@@ -201,7 +211,7 @@ def _point_pairs(points, cfg):
     return None
 
 
-_NUMBER = (lambda text, cfg: float(text), "a number")
+_NUMBER = (lambda text, cfg: _finite(text), "a finite number")
 _INTEGER = (lambda text, cfg: int(text), "an integer")
 _INTEGERS = (lambda text, cfg: [int(tok) for tok in text.replace(",", " ").split()], "an integer list")
 # The domains a config can name: the shape built from them, and its keys in
@@ -251,20 +261,25 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
+        if np.isnan(x):
+            raise ValueError("a NaN in a levels.csv row")
         return f"{float(x):.17g}"
     return str(x)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list], meta: dict) -> None:
+def csv_text(header: list[str], rows: list[list], meta: dict) -> str:
+    """levels.csv: meta as comment lines, then the header and the rows.
+    ValueError for a NaN; an infinite bound is written as inf."""
     lines = [f"# {k} = {v}" for k, v in sorted(meta.items())]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
 
 
-def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
+def json_text(payload: dict) -> str:
+    """Stable JSON text; ValueError for a NaN or an infinity, which JSON cannot hold."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # -- experiments -----------------------------------------------------------------
@@ -354,16 +369,21 @@ def run_converge(cfg: ExperimentConfig):
     rep = deterministic_fem_error(cfg.domain, cfg.bc, cfg.lam, cfg["r"], meshes, basis_count=budget)
     rows = [[lv.h, lv.error_sq, lv.tail_bound] for lv in rep.levels]
     header = ["h", "error_sq", "tail_bound"]
+    fitted = len(rep.levels) >= 3  # fewer levels have no rate fit: null, not NaN
     report = {
         "bc": rep.bc_kind,
         "lambda": rep.lam,
         "beta": rep.beta,
         "r": rep.r,
         "basis_count": rep.basis_count,
-        "fitted_rate": rep.fitted_rate,
-        "fit_residual": rep.fit_residual,
+        "fitted_rate": rep.fitted_rate if fitted else None,
+        "fit_residual": rep.fit_residual if fitted else None,
         "increments": rep.increments,
-        "levels": [{"h": lv.h, "error_sq": lv.error_sq, "tail_bound": lv.tail_bound} for lv in rep.levels],
+        # a tail series that diverges has no finite bound: null, since JSON has no infinity
+        "levels": [
+            {"h": lv.h, "error_sq": lv.error_sq, "tail_bound": None if lv.tail_bound == np.inf else lv.tail_bound}
+            for lv in rep.levels
+        ],
     }
     return report, header, rows, (4 if adaptive and rep.basis_count == ADAPT_CAP else 0)
 
@@ -531,11 +551,19 @@ def run(experiment: str, config_path: str, outdir: str, seed: int | None = None)
     status = result[3] if len(result) > 3 else 0
     csv_meta = {"config_hash": digest, "seed": cfg.seed, "version": __version__}
     report = {"meta": csv_meta, "experiment": experiment, **report}
+    try:
+        outputs = {
+            "report.json": json_text(report),
+            "levels.csv": csv_text(header, rows, csv_meta),
+            "meta.json": json_text(meta),
+        }
+    except ValueError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     target = Path(outdir) / experiment / digest
     target.mkdir(parents=True, exist_ok=True)
-    write_json(target / "report.json", report)
-    write_csv(target / "levels.csv", header, rows, csv_meta)
-    write_json(target / "meta.json", meta)
+    for name, text in outputs.items():
+        (target / name).write_text(text, encoding="ascii")
     print(target)
     return status
 

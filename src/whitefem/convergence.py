@@ -282,7 +282,7 @@ def deterministic_fem_error(
             if len(checkpoints) >= 2:
                 prev, cur = checkpoints[-2][1], checkpoints[-1][1]
                 rel = np.max(np.abs(cur - prev) / np.maximum(cur, 1e-300))
-                if rel < _ADAPT_REL:
+                if rel < _ADAPT_REL:  # a NaN increment fails, so NaN never reads as converged
                     break
             next_check *= 2
 

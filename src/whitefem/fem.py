@@ -413,13 +413,13 @@ class FactorizedSystem:
         """
         r = np.linalg.norm(self.A @ c_free - b_free)
         scale = self._norm_inf * np.linalg.norm(c_free) + np.linalg.norm(b_free)
-        return float(r / scale) if scale > 0 else 0.0
+        return float(r / scale) if scale != 0 else 0.0  # a NaN scale gives a NaN error
 
     def check_backward_error(self, c_free: np.ndarray, b_free: np.ndarray, what: str = "solver") -> None:
         """Raise RuntimeError, naming `what`, when the backward error of a
-        solve exceeds 1e-10.  This is the one solve-quality check."""
+        solve exceeds 1e-10 or is NaN.  This is the one solve-quality check."""
         err = self.backward_error(c_free, b_free)
-        if err > _BACKWARD_ERROR_TOL:
+        if not err <= _BACKWARD_ERROR_TOL:
             raise RuntimeError(f"{what} backward error {err:.3e} exceeds {_BACKWARD_ERROR_TOL:.0e}")
 
     def solve_checked(self, load: np.ndarray) -> FemFunction:

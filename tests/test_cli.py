@@ -295,8 +295,10 @@ def test_unread_key_is_config_error(tmp_path, capsys, experiment, config, fld):
     "2 3 1 3\n0 0\n1 0\n0 1\n0 2 1\n0 1 0\n1 2 1\n2 0 2\n",
     # header promises more lines than the file has
     "2 3 1 3\n0 0\n1 0\n",
+    # a node coordinate that is not finite
+    "2 3 1 3\n0 0\n1 0\n0 nan\n0 1 2\n0 1 0\n1 2 1\n2 0 2\n",
     None,
-], ids=["clockwise", "truncated", "missing"])
+], ids=["clockwise", "truncated", "nan-node", "missing"])
 def test_bad_mesh_file_is_config_error(tmp_path, capsys, contents):
     bad_mesh = tmp_path / "bad_mesh.txt"
     if contents is not None:
@@ -460,6 +462,79 @@ def test_user_error_exits_2_naming_the_field(tmp_path, capsys, experiment, confi
     assert code == 2
     assert f"config error: field '{fld}'" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+# Every key parsed as a number, with an experiment and a config that read it.
+NUMBER_KEY_RUNS = {
+    "a": ("solve", INTERVAL),
+    "b": ("solve", INTERVAL),
+    "lx": ("solve", SQUARE),
+    "ly": ("solve", SQUARE),
+    "beta": ("solve", INTERVAL.replace("neumann", "robin\nbeta = 1.0")),
+    "lambda": ("solve", INTERVAL),
+    "r": ("truncate", INTERVAL),
+    "load_constant": ("solve", INTERVAL),
+}
+
+
+def test_number_key_runs_name_every_number_key():
+    cli = whitefem.cli
+    tables = [keys for _, keys in cli._DOMAINS.values()] + [cli._COMMON_KEYS]
+    tables += [entry.keys for entry in cli._EXPERIMENT_TABLE.values()]
+    numbers = {key for keys in tables for key, spec in keys.items() if spec.parse is cli._NUMBER[0]}
+    assert numbers == set(NUMBER_KEY_RUNS)
+
+
+def _setting(config: str, key: str, value: str) -> str:
+    """config with `key = value` in place of any line that sets key."""
+    lines = [line for line in config.splitlines() if line.split("=", 1)[0].strip() != key]
+    return "\n".join([*lines, f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fld", [*NUMBER_KEY_RUNS, "points"])
+def test_non_finite_number_exits_2_naming_the_field(tmp_path, capsys, fld, value):
+    if fld == "points":
+        experiment, config = "sample", SQUARE + f"levels = 4\nsamples = 5\npoints = 1.0, {value}\n"
+    else:
+        experiment, base = NUMBER_KEY_RUNS[fld]
+        config = _setting(base, fld, value)
+    code, outdir = run_cli(tmp_path, experiment, config)
+    assert code == 2
+    assert re.search(rf"config error: field '{fld}': not (a )?finite number", capsys.readouterr().err)
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("report, rows", [
+    ({"max_abs": float("nan")}, [[0, 1.0]]),
+    ({"max_abs": float("inf")}, [[0, 1.0]]),
+    ({"max_abs": 1.0}, [[0, float("nan")]]),
+], ids=["nan-in-report", "inf-in-report", "nan-in-row"])
+def test_unwritable_statistic_is_a_numerical_failure(tmp_path, capsys, monkeypatch, report, rows):
+    table = whitefem.cli._EXPERIMENT_TABLE
+    runner = lambda cfg: (report, ["node", "value"], rows)  # noqa: E731
+    monkeypatch.setitem(table, "solve", table["solve"]._replace(run=runner))
+    code, outdir = run_cli(tmp_path, "solve", INTERVAL)
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_converge_writes_null_for_a_missing_fit_and_a_diverging_tail(tmp_path):
+    # two levels have no rate fit, and at r = 0.1 in 1D the tail series diverges
+    code, outdir = run_cli(tmp_path, "converge", INTERVAL + "r = 0.1\nlevels = 4 8\nbasis_count = 64\n")
+    assert code == 0
+    (report_path,) = outdir.glob("converge/*/report.json")
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = json.loads(report_path.read_text(), parse_constant=refuse)
+    assert report["fitted_rate"] is None and report["fit_residual"] is None
+    assert [lv["tail_bound"] for lv in report["levels"]] == [None, None]
+    assert all(np.isfinite(lv["error_sq"]) for lv in report["levels"])
+    rows = (report_path.parent / "levels.csv").read_text().splitlines()[-2:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["inf", "inf"]
 
 
 def test_adaptive_converge_exits_4_when_the_mode_cap_stops_it(tmp_path):

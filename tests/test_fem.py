@@ -280,6 +280,15 @@ class TestSolve:
         with pytest.raises(RuntimeError, match="backward error .* exceeds 1e-10"):
             sysm.solve_checked(b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_solution_is_refused(self, monkeypatch, bad):
+        # NaN > 1e-10 is false, so the check must be one that NaN fails
+        m = build_rectangle_mesh(1.0, 1.0, 8, 8)
+        sysm = FactorizedSystem(m, neumann(), 1.0)
+        monkeypatch.setattr(sysm, "solve", lambda load: np.full(m.n_nodes, bad))
+        with pytest.raises(RuntimeError, match="backward error nan exceeds 1e-10"):
+            sysm.solve_checked(assemble_mass(m) @ np.ones(m.n_nodes))
+
     @pytest.mark.parametrize("case", ["neumann", "robin", "dirichlet", "interval"])
     def test_one_column_matches_the_normal_sweep(self, case):
         rect = refine_uniform(build_rectangle_mesh(np.pi, 2.0, 9, 6))

@@ -139,6 +139,15 @@ def test_mesh_validation_rejects_bad_indices():
         Mesh(1, [[0.0], [1.0]], [[0, 2]], [[0], [1]], [0, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mesh_validation_rejects_non_finite_nodes(bad):
+    with pytest.raises(ValueError, match="^node coordinates must be finite$"):
+        Mesh(2, [[0, 0], [1, 0], [0, bad]], [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]], [0, 0, 0])
+    # an infinite side left nested dissection looping, once the mesh was built
+    with pytest.raises(ValueError, match="^node coordinates must be finite$"), np.errstate(invalid="ignore"):
+        build_rectangle_mesh(abs(bad), 1.0, 4, 4)
+
+
 def test_mesh_validation_rejects_clockwise_triangle():
     with pytest.raises(ValueError, match=r"^element 0 has nonpositive measure -0\.5$"):
         Mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 2, 1]], [[0, 1], [1, 2], [2, 0]], [0, 0, 0])
