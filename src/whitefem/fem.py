@@ -85,7 +85,8 @@ class FemFunction:
 
 def _check_measures(mesh: Mesh) -> np.ndarray:
     meas = mesh.element_measures
-    bad = np.nonzero(meas <= 0)[0]
+    # written so that NaN fails it, as an overflowed measure (inf) does
+    bad = np.flatnonzero(~((meas > 0) & (meas < np.inf)))
     if bad.size:
         raise ValueError(f"degenerate element {bad[0]}: measure {float(meas[bad[0]])}")
     return meas
@@ -532,8 +533,12 @@ def quadrature_points(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     element measure, and bary is the reference rule shared by all elements.
     """
     bary, w = reference_quadrature(mesh.dim)
-    corners = mesh.nodes[mesh.elements]  # (m, k, dim)
-    points = np.einsum("qk,mkd->mqd", bary, corners)
+    points = np.empty((mesh.n_elements, len(w), mesh.dim))
+    for d, x in enumerate(mesh.corners()):
+        # the sum over corners k, taken left to right
+        points[:, :, d] = x[:, 0, None] * bary[:, 0]
+        for k in range(1, mesh.dim + 1):
+            points[:, :, d] += x[:, k, None] * bary[:, k]
     weights = np.abs(mesh.element_measures)[:, None] * w[None, :]
     return points, weights, bary
 
@@ -544,7 +549,6 @@ def element_gradients(mesh: Mesh) -> np.ndarray:
     The (constant) gradient of a P1 function on element e is
     sum_i c[elements[e, i]] * G[e, i, :].
     """
-    pts = mesh.nodes[mesh.elements]
     meas = mesh.element_measures
     if mesh.dim == 1:
         h = meas
@@ -552,13 +556,12 @@ def element_gradients(mesh: Mesh) -> np.ndarray:
         G[:, 0, 0] = -1.0 / h
         G[:, 1, 0] = 1.0 / h
         return G
-    e0 = pts[:, 2] - pts[:, 1]
-    e1 = pts[:, 0] - pts[:, 2]
-    e2 = pts[:, 1] - pts[:, 0]
+    x, y = mesh.corners()
     inv2A = 1.0 / (2.0 * meas)
-    # grad(phi_i) is the opposite edge rotated by +90 degrees, over 2A
+    # grad(phi_i) is the opposite edge (from corner i+1 to corner i+2)
+    # rotated by +90 degrees, over 2A
     G = np.empty((mesh.n_elements, 3, 2))
-    G[:, 0, 0], G[:, 0, 1] = -e0[:, 1] * inv2A, e0[:, 0] * inv2A
-    G[:, 1, 0], G[:, 1, 1] = -e1[:, 1] * inv2A, e1[:, 0] * inv2A
-    G[:, 2, 0], G[:, 2, 1] = -e2[:, 1] * inv2A, e2[:, 0] * inv2A
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        G[:, i, 0] = -(y[:, k] - y[:, j]) * inv2A
+        G[:, i, 1] = (x[:, k] - x[:, j]) * inv2A
     return G

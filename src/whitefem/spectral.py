@@ -197,14 +197,17 @@ class RectangleEigenBasis:
         The 1D modes are evaluated once per distinct coordinate and then
         gathered, which gives the same values as evaluating them at every
         point: quadrature and mesh points share few distinct coordinates.
+        Each axis evaluates only the range of 1D modes that modes
+        start..stop span.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        xs, jx = np.unique(pts[:, 0], return_inverse=True)
-        ys, jy = np.unique(pts[:, 1], return_inverse=True)
         sl = slice(start, stop)
-        ex = self.basis_x.evaluate(xs)[self.ix[sl]]
-        ey = self.basis_y.evaluate(ys)[self.iy[sl]]
-        return ex[:, jx] * ey[:, jy]
+        factors = []
+        for basis, idx, coords in zip((self.basis_x, self.basis_y), (self.ix[sl], self.iy[sl]), pts.T):
+            distinct, inverse = np.unique(coords, return_inverse=True)
+            lo, hi = (idx.min(), idx.max() + 1) if idx.size else (0, 0)
+            factors.append(basis.evaluate(distinct, lo, hi)[idx - lo][:, inverse])
+        return factors[0] * factors[1]
 
     def sup_sq_bound(self) -> float:
         return self.basis_x.sup_sq_bound() * self.basis_y.sup_sq_bound()

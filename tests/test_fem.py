@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -177,6 +179,14 @@ class TestAssembly:
         m = refine_uniform(build_rectangle_mesh(1.0, 1.5, 3, 2))
         for A in (assemble_stiffness(m), assemble_mass(m), assemble_boundary_mass(m)):
             assert np.abs((A - A.T).toarray()).max() < 1e-12
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+    def test_assembly_refuses_a_measure_that_is_not_positive_and_finite(self, bad):
+        # Mesh refuses such elements itself; this is assembly's own bound,
+        # given a stand-in mesh that only carries measures.
+        stand_in = SimpleNamespace(element_measures=np.array([0.5, bad]))
+        with pytest.raises(ValueError, match=rf"^degenerate element 1: measure {bad}$"):
+            fem._check_measures(stand_in)
 
 
 class TestSolve:

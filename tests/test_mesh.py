@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from whitefem.fem import element_gradients, quadrature_points, reference_quadrature
 from whitefem.mesh import (
     Mesh,
     build_interval_mesh,
@@ -151,6 +152,17 @@ def test_mesh_validation_rejects_non_finite_nodes(bad):
 def test_mesh_validation_rejects_clockwise_triangle():
     with pytest.raises(ValueError, match=r"^element 0 has nonpositive measure -0\.5$"):
         Mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 2, 1]], [[0, 1], [1, 2], [2, 0]], [0, 0, 0])
+
+
+@pytest.mark.parametrize("corners, measure", [
+    # 1e200 * 2e200 and 1e200 * 1e200 both overflow: inf - inf is NaN
+    ([[0, 0], [1e200, 1e200], [1e200, 2e200]], "nan"),
+    ([[0, 0], [1e200, 0], [0, 1e200]], "inf"),
+])
+def test_mesh_validation_rejects_an_overflowing_measure(corners, measure):
+    with pytest.raises(ValueError, match=rf"^element 0 has non-finite measure {measure}$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        Mesh(2, corners, [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]], [0, 0, 0])
 
 
 def test_mesh_validation_rejects_wrong_boundary():
@@ -349,3 +361,73 @@ def test_facet_keys_equal_the_sorted_pair_keys(mesh, tmp_path):
         else:
             lo, hi = np.sort(facets, axis=1).T
             assert np.array_equal(keys, lo * mesh.n_nodes + hi)
+
+
+def _perturbed_rectangle():
+    """A 7 x 5 rectangle whose interior nodes are moved off the dyadic grid."""
+    mesh = build_rectangle_mesh(np.pi, np.e, 7, 5)
+    nodes = mesh.nodes.copy()
+    inner = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes())
+    step = np.array([np.pi / 7, np.e / 5])
+    nodes[inner] += np.random.default_rng(17).uniform(-0.2, 0.2, (inner.size, 2)) * step
+    return Mesh(2, nodes, mesh.elements, mesh.facet_nodes, mesh.facet_sides)
+
+
+def _geometry_reference(mesh):
+    """Every geometry array from the corner array nodes[elements]."""
+    pts = mesh.nodes[mesh.elements]  # (m, dim + 1, dim)
+    bary, w = reference_quadrature(mesh.dim)
+    if mesh.dim == 1:
+        meas = pts[:, 1, 0] - pts[:, 0, 0]
+        h = float(np.abs(meas).max())
+        tol = 1e-12 * max(h, 1.0)
+        left, right = pts[:, 0, 0], pts[:, 1, 0]
+        locator = (left, right, left - tol, right + tol)
+        facets = np.ones(mesh.n_facets)
+        G = np.stack([-1.0 / meas, 1.0 / meas], axis=1)[:, :, None]
+    else:
+        v1, v2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+        meas = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+        edges = pts - pts[:, [1, 2, 0]]
+        h = float(np.sqrt((edges[:, :, 0] * edges[:, :, 0] + edges[:, :, 1] * edges[:, :, 1]).max()))
+        tol = 1e-12 * max(h, 1.0)
+        (ax, ay), (bx, by), (cx, cy) = (pts[:, i].T for i in range(3))
+        det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+        locator = (ax, ay, bx, by, cx, cy, det, tol / max(np.sqrt(np.abs(det).min()), tol))
+        p = mesh.nodes[mesh.facet_nodes]
+        facets = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
+        opposite = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
+        G = np.stack([-opposite[:, :, 1], opposite[:, :, 0]], axis=2) * (1.0 / (2.0 * meas))[:, None, None]
+    points = np.einsum("qk,mkd->mqd", bary, pts)
+    weights = np.abs(meas)[:, None] * w[None, :]
+    return {"element_measures": meas, "h": np.float64(h), "locator": locator, "facet_measures": facets,
+            "element_gradients": G, "quadrature_points": (points, weights)}
+
+
+@pytest.mark.parametrize("mesh", ["rectangle", "refined", "perturbed", "polygon", "interval"])
+def test_geometry_matches_corner_array_reference(mesh, tmp_path):
+    path = tmp_path / "pentagon.txt"
+    path.write_text(_PENTAGON)
+    if mesh == "polygon":
+        meshes = [read_mesh(path)]
+        for _ in range(3):
+            meshes.append(refine_uniform(meshes[-1]))
+    else:
+        meshes = [{
+            "rectangle": lambda: build_rectangle_mesh(np.pi, 2.0, 5, 3),
+            "refined": lambda: refine_uniform(refine_uniform(refine_uniform(build_rectangle_mesh(np.pi, 2.0, 5, 3)))),
+            "perturbed": _perturbed_rectangle,
+            "interval": lambda: build_interval_mesh(-1.0, np.e, 5),
+        }[mesh]()]
+    for m in meshes:
+        ref = _geometry_reference(m)
+        points, weights, _ = quadrature_points(m)
+        got = {"element_measures": m.element_measures, "h": np.float64(m.h), "locator": m.locator,
+               "facet_measures": m.facet_measures(), "element_gradients": element_gradients(m),
+               "quadrature_points": (points, weights)}
+        for name, want in ref.items():
+            pairs = zip(got[name], want) if isinstance(want, tuple) else [(got[name], want)]
+            for x, y in pairs:
+                x, y = np.asarray(x), np.asarray(y)
+                assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert x.tobytes() == y.tobytes(), name

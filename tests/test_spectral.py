@@ -110,6 +110,22 @@ class TestEigenpairs:
                 got = basis.evaluate(pts, start, stop)
                 assert got.tobytes() == (ex[basis.ix[sl]] * ey[basis.iy[sl]]).tobytes()
 
+    @pytest.mark.parametrize(
+        "bc", [dirichlet(), neumann(), robin(0.8)], ids=["dirichlet", "neumann", "robin"]
+    )
+    def test_rectangle_mode_range_is_bitwise_rows_of_the_full_evaluation(self, bc):
+        # evaluate(points, k0, k1) takes on each axis only the 1D modes from
+        # the lowest to the highest index that modes k0..k1 use.
+        basis = eigenpairs(Rectangle(np.pi, 2.0), bc, 600)
+        pts = np.random.default_rng(5).uniform(0.0, 1.0, (300, 2)) * [np.pi, 2.0]
+        full = basis.evaluate(pts)
+        for k0, k1 in ((5, 9), (37, 69), (100, 101), (411, 600), (7, 7)):
+            for idx in (basis.ix[k0:k1], basis.iy[k0:k1]):
+                if k1 - k0 > 1:
+                    # the 1D indices are not one run lo, lo + 1, ...
+                    assert not np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size))
+            assert basis.evaluate(pts, k0, k1).tobytes() == full[k0:k1].tobytes()
+
     @pytest.mark.parametrize("bc", [dirichlet(), neumann()], ids=["dirichlet", "neumann"])
     def test_zero_half_skip_is_bitwise_the_full_formula(self, bc):
         basis = eigenpairs(Interval(0.3, 2.0), bc, 200)
