@@ -38,11 +38,18 @@ from .spectral import (
     spectral_tail_bound,
 )
 
-# Modes per block of loads solved and reduced together.
+# Modes per block of the weighted partial sum and the adaptive checkpoints.
 _BLOCK = 256
+# Modes per slab of loads solved and reduced together.  A multiple of
+# _SOLVE_CHUNK, so every column is solved in the chunk the whole block's
+# solve would take.  At 64 x 64 the reduction of 256 modes took 57-69 ms in
+# slabs of 256, 63-74 in slabs of 128, 87-94 in slabs of 64 and 137-146 in
+# slabs of 32 (medians of 7 interleaved rounds, two processes, 2-core x86-64
+# VM); a slab of 128 halves the solution array for that cost.
+_SLAB = 128
 # Elements per chunk of the quadrature reductions: a chunk's arrays for a
-# block of _BLOCK modes (192 points x 256 modes in 2D, 384 KB each) stay in a
-# core's L2 cache.  At 64 x 64 one block's reduction took about 75 ms in
+# slab of _SLAB modes (192 points x 128 modes in 2D, 192 KB each) stay in a
+# core's L2 cache.  At 64 x 64 a 256-mode reduction took about 75 ms in
 # chunks of 32 elements and about 95 ms in chunks of 128 (2-core x86-64 VM
 # with 2 MB of L2 per core).
 _CHUNK = 32
@@ -112,20 +119,23 @@ class _LevelContext:
     Quantities at the quadrature points are formed one chunk of `_CHUNK`
     elements at a time, so no (modes x quadrature points) array is built.
     Mode values are gathered from the 1D modes at the distinct quadrature
-    coordinates of each axis; they equal `basis.evaluate` at the points.
-    A block of modes holds one (n_nodes, modes) array, its solutions (for
-    the quadrature rule, first its loads); its other arrays span one chunk
-    of elements, _SOLVE_CHUNK modes or one axis's distinct coordinates.
+    coordinates of each axis; they equal `basis.evaluate` at the points,
+    which are not kept.  A slab of modes holds one (n_nodes, modes) array,
+    its solutions (for the quadrature rule, first its loads); its other
+    arrays span one chunk of elements, _SOLVE_CHUNK modes or one axis's
+    distinct coordinates.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
         self.mesh = mesh
         self.system = FactorizedSystem(mesh, bc, lam)
         self.M = self.system.M
-        self.qpoints, self.qweights, self.bary = quadrature_points(mesh)
-        self.flat_points = self.qpoints.reshape(-1, mesh.dim)
+        points, self.qweights, self.bary = quadrature_points(mesh)
         # per axis: distinct quadrature coordinates, and each point's index
-        self._coords = [np.unique(self.flat_points[:, d], return_inverse=True) for d in range(mesh.dim)]
+        self._coords = []
+        for d in range(mesh.dim):
+            xs, inverse = np.unique(points[:, :, d], return_inverse=True)
+            self._coords.append((xs, inverse.reshape(-1).astype(np.int32)))
         self._scatter = None
 
     def _mode_columns(self, basis: EigenBasis, k0: int, k1: int, deriv: int | None = None) -> list[np.ndarray]:
@@ -207,7 +217,19 @@ class _LevelContext:
             else:
                 load = sols[:, cols]
             sols[:, cols] = self.system.solve(load)
+            del load  # freed before the next chunk's loads are evaluated
         return sols
+
+    def block_errors(self, basis: EigenBasis, lam: float, k0: int, k1: int,
+                     load_rule: str = "interpolation") -> np.ndarray:
+        """l2_errors of the discrete solutions of modes k0..k1, solved and
+        reduced _SLAB modes at a time; a mode's error does not depend on the
+        slab it falls in, so the values are those of the whole range at once."""
+        errors = np.empty(k1 - k0)
+        for s0 in range(k0, k1, _SLAB):
+            s1 = min(s0 + _SLAB, k1)
+            errors[s0 - k0:s1 - k0] = self.l2_errors(basis, lam, s0, s1, self.solutions(basis, s0, s1, load_rule))
+        return errors
 
     def l2_errors(self, basis: EigenBasis, lam: float, k0: int, k1: int, sols: np.ndarray) -> np.ndarray:
         """||T e_k - u_k||_L2^2 for modes k0..k1 and P1 functions u_k with
@@ -245,10 +267,11 @@ def deterministic_fem_error(
     changed every level's partial sum by under 1%, capped at 20000 modes;
     the realized relative increments are recorded in the report.
 
-    Modes are taken in blocks of 256 (_BLOCK), the width the error kernel
-    reduces at once.  Per level and block, the only array of that width is
-    the (n_nodes, 256) solution array of _LevelContext.solutions; loads and
-    solves pass through it 32 columns at a time.
+    Modes are summed in blocks of 256 (_BLOCK), one weighted dot per level
+    and block, and solved and reduced in slabs of 128 (_SLAB).  Per level and
+    slab, the only array of that width is the (n_nodes, 128) solution array
+    of _LevelContext.solutions; loads and solves pass through it 32 columns
+    at a time.
 
     The reported per-level tail bound is the coercivity bound
     (2 / lam)^2 * sum_{k > count} (1 + mu_k)^{-r}; it is rigorous but loose,
@@ -274,8 +297,7 @@ def deterministic_fem_error(
     while count < cap:
         k1 = min(count + _BLOCK, cap)
         for i, ctx in enumerate(contexts):
-            errs = ctx.l2_errors(basis, lam, count, k1, ctx.solutions(basis, count, k1, load_rule))
-            totals[i] += float(weights[count:k1] @ errs)
+            totals[i] += float(weights[count:k1] @ ctx.block_errors(basis, lam, count, k1, load_rule))
         count = k1
         if adaptive and count >= next_check:
             checkpoints.append((count, totals.copy()))

@@ -395,8 +395,10 @@ class FactorizedSystem:
             raise ValueError("load vector length does not match node count")
         if self.n_free == self.mesh.n_nodes:
             return self.solve_free(load)
+        c_free = self.solve_free(load[self.free])
+        # allocated after the solve, whose working arrays are then freed
         c = np.zeros(load.shape)
-        c[self.free] = self.solve_free(load[self.free])
+        c[self.free] = c_free
         return c
 
     @cached_property

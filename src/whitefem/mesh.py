@@ -89,10 +89,16 @@ class Mesh:
             (x,) = self.corners()
             return float(np.abs(x[:, 1] - x[:, 0]).max())
         # the longest edge; sqrt is monotone, so one sqrt of the largest
-        # squared length gives the same value as the largest length
+        # squared length gives the same value as the largest length.  The
+        # squares are taken of the edges scaled by 2^-e, which brings the
+        # largest component into [0.5, 1), so they cannot overflow; scaling
+        # by a power of two is exact, so h has the bits of the unscaled sum
+        # wherever that neither overflows nor underflows.
         x, y = self.corners()
         dx, dy = x - x[:, [1, 2, 0]], y - y[:, [1, 2, 0]]
-        return float(np.sqrt((dx * dx + dy * dy).max()))
+        e = np.frexp(max(np.abs(dx).max(), np.abs(dy).max()))[1]
+        dx, dy = np.ldexp(dx, -e), np.ldexp(dy, -e)
+        return float(np.ldexp(np.sqrt((dx * dx + dy * dy).max()), e))
 
     @cached_property
     def element_measures(self) -> np.ndarray:

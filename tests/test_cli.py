@@ -13,7 +13,7 @@ import whitefem.fem
 from whitefem.cli import ConfigError, build_config, config_hash, main, parse_config_text
 from whitefem.fem import robin
 from whitefem.noise import GaussianStream
-from whitefem.sampling import DiscreteSolutionOperator, path_point_values, point_values
+from whitefem.sampling import DiscreteSolutionOperator, exact_covariances, path_point_values, point_values
 
 CONVERGE_CONFIG = """\
 # small convergence study
@@ -262,6 +262,42 @@ def test_small_lambda_neumann_sample_exits_0(tmp_path):
     code, outdir = run_cli(tmp_path, "sample", config)
     assert code == 0
     assert len(list(outdir.glob("sample/*/levels.csv"))) == 1
+
+
+SAMPLE_CONFIG = (
+    "domain = rectangle\nlx = 2\nly = 1\nbc = robin\nbeta = 0.7\nlambda = 1.5\n"
+    "levels = 16\nsamples = 200\nseed = 5\npoints = 0.3,0.2; 1.1,0.5; 1.9,0.95\n"
+)
+
+
+def test_sample_reports_the_standard_error_of_each_mean(tmp_path):
+    code, outdir = run_cli(tmp_path, "sample", SAMPLE_CONFIG)
+    assert code == 0
+    (report_path,) = outdir.glob("sample/*/report.json")
+    report = json.loads(report_path.read_text())
+    assert report["all_within_4se"] is True
+    # an n-path mean of values with variance C_pp has the standard error sqrt(C_pp / n)
+    cfg = build_config("sample", parse_config_text(SAMPLE_CONFIG))
+    op = DiscreteSolutionOperator(cfg.base_mesh(16), cfg.bc, cfg.lam)
+    var = np.diag(exact_covariances(op, cfg["points"]))
+    np.testing.assert_allclose(np.square(report["se_mean"]) * 200, var, rtol=1e-10)
+    assert all(abs(m) <= 4 * se for m, se in zip(report["sample_mean"], report["se_mean"]))
+
+
+def test_sample_exits_4_when_a_mean_is_more_than_4_standard_errors_from_0(tmp_path, monkeypatch):
+    def shifted(G, n, stream):
+        values = path_point_values(G, n, stream)
+        values[:, 1] += 1.0  # about 54 standard errors at 200 paths
+        return values
+
+    monkeypatch.setattr(whitefem.cli, "path_point_values", shifted)
+    code, outdir = run_cli(tmp_path, "sample", SAMPLE_CONFIG)
+    assert code == 4
+    (report_path,) = outdir.glob("sample/*/report.json")
+    report = json.loads(report_path.read_text())
+    assert report["all_within_4se"] is False
+    assert abs(report["sample_mean"][1]) > 4 * report["se_mean"][1]
+    assert all(abs(report["sample_mean"][p]) <= 4 * report["se_mean"][p] for p in (0, 2))
 
 
 def test_misspelled_key_is_config_error(tmp_path, capsys):

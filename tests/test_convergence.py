@@ -14,7 +14,7 @@ from whitefem.convergence import (
     truncation_error_closed_form,
 )
 import whitefem.convergence as convergence
-from whitefem.fem import dirichlet, element_gradients, neumann, robin
+from whitefem.fem import _SOLVE_CHUNK, dirichlet, element_gradients, neumann, quadrature_points, robin
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
 from whitefem.noise import GaussianStream
 from whitefem.sampling import DiscreteSolutionOperator
@@ -72,7 +72,7 @@ class TestDeterministicFemError:
         dom = Rectangle(np.pi, np.pi)
         basis = eigenpairs(dom, neumann(), 16)
         ctx = _LevelContext(mesh, neumann(), 1.0)
-        exact = basis.evaluate(ctx.flat_points, 0, 16) / (basis.mu[:16, None] + 1.0)
+        exact = basis.evaluate(_flat_points(mesh), 0, 16) / (basis.mu[:16, None] + 1.0)
         exact_q = np.moveaxis(exact.reshape(16, *ctx.qweights.shape), 0, -1)
         diff = exact_q - exact_q
         errs = np.einsum("mq,mqB->B", ctx.qweights, diff * diff)
@@ -110,6 +110,11 @@ class TestDeterministicFemError:
             deterministic_fem_error(dom, neumann(), 1.0, -0.1, [build_rectangle_mesh(1, 1, 2, 2)])
 
 
+def _flat_points(mesh):
+    """The quadrature points of every element, one row each."""
+    return quadrature_points(mesh)[0].reshape(-1, mesh.dim)
+
+
 def _unchunked_errors(ctx, basis, lam, k0, k1, load_rule=None, sols=None):
     """The error kernel as one formula over all quadrature points at once.
 
@@ -117,7 +122,7 @@ def _unchunked_errors(ctx, basis, lam, k0, k1, load_rule=None, sols=None):
     measured as given.
     """
     m_el, q = ctx.qweights.shape
-    exact = basis.evaluate(ctx.flat_points, k0, k1).reshape(k1 - k0, m_el, q)
+    exact = basis.evaluate(_flat_points(ctx.mesh), k0, k1).reshape(k1 - k0, m_el, q)
     pts = ctx.mesh.nodes[:, 0] if ctx.mesh.dim == 1 else ctx.mesh.nodes
     if load_rule == "interpolation":
         sols = ctx.system.solve(ctx.M @ basis.evaluate(pts, k0, k1).T)
@@ -172,7 +177,7 @@ class TestChunkedErrorKernel:
         for k0, k1 in ((0, 100), (100, 160)):
             chunks = [values for _, values in ctx._mode_chunks(ctx._mode_columns(basis, k0, k1))]
             got = np.concatenate(chunks).reshape(-1, k1 - k0)
-            want = basis.evaluate(ctx.flat_points, k0, k1).T
+            want = basis.evaluate(_flat_points(ctx.mesh), k0, k1).T
             assert got.tobytes() == want.tobytes()
 
 
@@ -213,6 +218,41 @@ def test_one_mode_block_holds_under_two_solution_arrays(bc, load_rule):
         tracemalloc.stop()
     # one (n_nodes, 256) solution array, plus working chunks
     assert peak < 2 * mesh.n_nodes * 256 * 8
+
+
+@pytest.mark.parametrize("load_rule", ["interpolation", "quadrature"])
+@pytest.mark.parametrize("bc", [neumann(), dirichlet()], ids=["neumann", "dirichlet"])
+def test_one_mode_block_in_slabs_holds_under_two_slab_arrays(bc, load_rule):
+    mesh = build_rectangle_mesh(np.pi, np.pi, 64, 64)
+    basis = eigenpairs(Rectangle(np.pi, np.pi), bc, 256)
+    ctx = _LevelContext(mesh, bc, 1.0)
+    # factors A (and builds the quadrature scatter), which then stay out of the peak
+    ctx.solutions(basis, 0, 1, load_rule)
+    tracemalloc.start()
+    try:
+        ctx.block_errors(basis, 1.0, 0, 256, load_rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (n_nodes, 128) solution array at a time, plus working chunks
+    assert peak < 2 * mesh.n_nodes * convergence._SLAB * 8
+
+
+@pytest.mark.parametrize("load_rule", ["interpolation", "quadrature"])
+@pytest.mark.parametrize("bc", [neumann(), dirichlet(), robin(0.6)], ids=["neumann", "dirichlet", "robin"])
+def test_slab_errors_equal_the_whole_block_errors(bc, load_rule):
+    # a 300-mode budget: the last block, 256..300, is partial and not a
+    # multiple of the 128-mode slab
+    assert convergence._SLAB % _SOLVE_CHUNK == 0
+    basis = eigenpairs(Rectangle(np.pi, np.pi), bc, 300)
+    mesh = build_rectangle_mesh(np.pi, np.pi, 8, 8)
+    for _ in range(3):
+        ctx = _LevelContext(mesh, bc, 1.0)
+        for k0 in range(0, 300, convergence._BLOCK):
+            k1 = min(k0 + convergence._BLOCK, 300)
+            want = ctx.l2_errors(basis, 1.0, k0, k1, ctx.solutions(basis, k0, k1, load_rule))
+            assert np.array_equal(ctx.block_errors(basis, 1.0, k0, k1, load_rule), want)
+        mesh = refine_uniform(mesh)
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +401,7 @@ def _all_at_once_h1_sup(domain, bc, lam, mesh, n_loads):
     ctx = _LevelContext(mesh, bc, lam)
     sols = ctx.solutions(basis, 0, n_loads, load_rule="quadrature")
     val_part = ctx.l2_errors(basis, lam, 0, n_loads, sols)
-    pts = ctx.flat_points
+    pts = _flat_points(mesh)
     if mesh.dim == 1:
         grad = basis.evaluate_deriv(pts[:, 0])[:, :, None]
     else:
@@ -391,7 +431,7 @@ class TestMcDeterministicAgreement:
         basis = eigenpairs(dom, bc, J)
         ctx = _LevelContext(mesh, bc, lam)
 
-        modes_q = basis.evaluate(ctx.flat_points, 0, J)  # (J, nq)
+        modes_q = basis.evaluate(_flat_points(mesh), 0, J)  # (J, nq)
         loads = ctx.quadrature_loads(basis, 0, J)  # (n_nodes, J)
         w_q = ctx.qweights.ravel()
         weights = (1.0 + basis.mu) ** -r

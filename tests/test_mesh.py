@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whitefem.fem import element_gradients, quadrature_points, reference_quadrature
+from whitefem.fem import element_gradients, locate_points, quadrature_points, reference_quadrature
 from whitefem.mesh import (
     Mesh,
     build_interval_mesh,
@@ -163,6 +163,16 @@ def test_mesh_validation_rejects_an_overflowing_measure(corners, measure):
     with pytest.raises(ValueError, match=rf"^element 0 has non-finite measure {measure}$"), \
             np.errstate(over="ignore", invalid="ignore"):
         Mesh(2, corners, [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]], [0, 0, 0])
+
+
+def test_h_and_location_on_a_mesh_whose_squared_edges_overflow():
+    # the longest edge is 1e160 long, but its square, 1e320, overflows
+    mesh = Mesh(2, [[0, 0], [1e160, 0], [0, 1e-160]], [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]], [0, 0, 0])
+    assert np.isfinite(mesh.h)
+    assert mesh.h == pytest.approx(1e160, rel=1e-15)
+    idx, weights = locate_points(mesh, [(5e159, 1e-161)])
+    assert idx.tolist() == [[0, 1, 2]]
+    np.testing.assert_allclose(weights[0], [0.4, 0.5, 0.1], rtol=1e-12)
 
 
 def test_mesh_validation_rejects_wrong_boundary():
