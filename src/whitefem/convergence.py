@@ -42,16 +42,16 @@ from .spectral import (
 _BLOCK = 256
 # Modes per slab of loads solved and reduced together.  A multiple of
 # _SOLVE_CHUNK, so every column is solved in the chunk the whole block's
-# solve would take.  At 64 x 64 the reduction of 256 modes took 57-69 ms in
-# slabs of 256, 63-74 in slabs of 128, 87-94 in slabs of 64 and 137-146 in
-# slabs of 32 (medians of 7 interleaved rounds, two processes, 2-core x86-64
-# VM); a slab of 128 halves the solution array for that cost.
+# solve would take.  At 64 x 64 the reduction of 256 modes took 45-54 ms in
+# slabs of 256, 54-57 in slabs of 128, 63-75 in slabs of 64 and 90-107 in
+# slabs of 32 (medians of 7 interleaved rounds in each of three processes,
+# 2-core x86-64 VM); a slab of 128 halves the solution array for that cost.
 _SLAB = 128
 # Elements per chunk of the quadrature reductions: a chunk's arrays for a
 # slab of _SLAB modes (192 points x 128 modes in 2D, 192 KB each) stay in a
-# core's L2 cache.  At 64 x 64 a 256-mode reduction took about 75 ms in
-# chunks of 32 elements and about 95 ms in chunks of 128 (2-core x86-64 VM
-# with 2 MB of L2 per core).
+# core's L2 cache.  At 64 x 64 a 256-mode reduction in slabs of 128 took
+# 45-57 ms in chunks of 32 elements, 44-56 in chunks of 64, 52-66 in chunks
+# of 128 and 59-69 in chunks of 16 (same rounds; 2 MB of L2 per core).
 _CHUNK = 32
 _ADAPT_START = 512
 ADAPT_CAP = 20_000
@@ -94,8 +94,9 @@ def fit_rate(levels: Sequence[tuple[float, float]]) -> RateFit:
         raise ValueError(f"rate fit needs at least 3 levels, got {len(levels)}")
     h = np.array([lv[0] for lv in levels], dtype=np.float64)
     e = np.array([lv[1] for lv in levels], dtype=np.float64)
-    if np.any(e <= 0) or np.any(h <= 0):
-        raise ValueError("rate fit requires positive h and positive errors")
+    # written so that NaN fails it, as inf does
+    if not ((h > 0) & (h < np.inf) & (e > 0) & (e < np.inf)).all():
+        raise ValueError("rate fit requires finite positive h and finite positive errors")
     X = np.column_stack([np.log(h), np.ones(h.size)])
     coef, *_ = np.linalg.lstsq(X, np.log(e), rcond=None)
     resid = np.log(e) - X @ coef
@@ -154,15 +155,44 @@ class _LevelContext:
     def _mode_chunks(self, columns: list[np.ndarray]):
         """Yield (element slice, mode values at its quadrature points with
         shape (chunk elements, q, modes)), from the 1D factors `columns` of
-        `_mode_columns`."""
+        `_mode_columns`.  The values are gathered into one buffer, allocated
+        once and overwritten by the next chunk."""
         m_el, q = self.qweights.shape
+        values = np.empty((_CHUNK * q, columns[0].shape[1]))
+        factor = np.empty_like(values) if len(columns) > 1 else None
         for c0 in range(0, m_el, _CHUNK):
             c1 = min(c0 + _CHUNK, m_el)
-            pts = slice(c0 * q, c1 * q)
-            values = columns[0][self._coords[0][1][pts]]
+            pts, n = slice(c0 * q, c1 * q), (c1 - c0) * q
+            # take writes into out directly with mode="clip"; "raise" fills a copy first
+            np.take(columns[0], self._coords[0][1][pts], axis=0, out=values[:n], mode="clip")
             for col, (_, inverse) in zip(columns[1:], self._coords[1:]):
-                values *= col[inverse[pts]]
-            yield slice(c0, c1), values.reshape(c1 - c0, q, -1)
+                np.take(col, inverse[pts], axis=0, out=factor[:n], mode="clip")
+                values[:n] *= factor[:n]
+            yield slice(c0, c1), values[:n].reshape(c1 - c0, q, -1)
+
+    def _error_sums(self, columns: list[np.ndarray], sols: np.ndarray, fem_op: np.ndarray) -> np.ndarray:
+        """Per mode, the quadrature sum of (v_k - f_k)^2: v_k the product of
+        the 1D factors `columns`, f_k the P1 function with coefficients
+        sols[:, k], mapped by fem_op (n_elements, r, dim + 1) from each
+        element's nodal values to its r = q point values, or to one constant
+        partial derivative (r = 1).
+
+        Per chunk of elements the solution rows are gathered into a buffer
+        and fem_op is applied by one matmul, whose (dim + 1)-term sums are
+        the same under any BLAS thread count; the weighted reduction over
+        the points is an einsum, whose summation order does not depend on it.
+        """
+        elements, width = self.mesh.elements, sols.shape[1]
+        rows = np.empty((_CHUNK, elements.shape[1], width))
+        fem = np.empty((_CHUNK, fem_op.shape[1], width))
+        errors = np.zeros(width)
+        for chunk, diff in self._mode_chunks(columns):
+            c = chunk.stop - chunk.start
+            np.take(sols, elements[chunk], axis=0, out=rows[:c], mode="clip")
+            diff -= np.matmul(fem_op[chunk], rows[:c], out=fem[:c])
+            diff *= diff
+            errors += np.einsum("cq,cqB->B", self.qweights[chunk], diff)
+        return errors
 
     def quadrature_loads(self, basis: EigenBasis, k0: int, k1: int) -> np.ndarray:
         """Dual loads b_i = integral of e_k phi_i for modes k0..k1, by element
@@ -233,20 +263,13 @@ class _LevelContext:
 
     def l2_errors(self, basis: EigenBasis, lam: float, k0: int, k1: int, sols: np.ndarray) -> np.ndarray:
         """||T e_k - u_k||_L2^2 for modes k0..k1 and P1 functions u_k with
-        coefficients sols[:, k - k0], by element quadrature.
-
-        The sums run in a fixed order (einsum, not BLAS), so they do not
-        depend on the thread count.
+        coefficients sols[:, k - k0], by element quadrature (_error_sums).
         """
         columns = self._mode_columns(basis, k0, k1)
         # the exact solve T e_k = e_k / (mu_k + lam), applied to one 1D factor
         columns[0] /= basis.mu[k0:k1] + lam
-        errors = np.zeros(k1 - k0)
-        for chunk, diff in self._mode_chunks(columns):
-            diff -= np.einsum("qk,ckB->cqB", self.bary, sols[self.mesh.elements[chunk]])
-            diff *= diff
-            errors += np.einsum("cq,cqB->B", self.qweights[chunk], diff)
-        return errors
+        # every element's interpolant at its points is bary times its nodal values
+        return self._error_sums(columns, sols, np.broadcast_to(self.bary, (self.mesh.n_elements, *self.bary.shape)))
 
 
 def deterministic_fem_error(
@@ -381,20 +404,25 @@ class HolderFit(NamedTuple):
 def pair_separations(pairs: Sequence[tuple]) -> np.ndarray:
     """Distances |x - y| of the point pairs a Holder fit can use.
 
-    Refuses fewer than 5 pairs, a coincident pair, and separations spanning
-    less than a decade.
+    Refuses fewer than 5 pairs, a point or separation that is not finite, a
+    coincident pair, and separations spanning less than a decade.  Each test
+    is written so that NaN fails it.
     """
     if len(pairs) < 5:
         raise ValueError(f"need at least 5 point pairs, got {len(pairs)}")
     seps = []
     for x, y in pairs:
-        ax = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        dist = float(np.linalg.norm(ax - np.atleast_1d(np.asarray(y, dtype=np.float64))))
-        if dist == 0.0:
+        ax, ay = (np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in (x, y))
+        if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
+            raise ValueError(f"pair {tuple(ax.tolist())}, {tuple(ay.tolist())} has a non-finite coordinate")
+        dist = float(np.linalg.norm(ax - ay))
+        if not dist > 0.0:
             raise ValueError(f"coincident pair {tuple(ax.tolist())}")
+        if not dist < np.inf:
+            raise ValueError(f"pair {tuple(ax.tolist())}, {tuple(ay.tolist())} has an overflowing separation")
         seps.append(dist)
     seps = np.array(seps)
-    if seps.max() / seps.min() < 10.0:
+    if not seps.max() / seps.min() >= 10.0:
         raise ValueError("pairs must span at least a decade of separations")
     return seps
 
@@ -457,9 +485,6 @@ def h1_error_sup_estimate(
     for d in range(mesh.dim):
         columns = ctx._mode_columns(basis, 0, n_loads, deriv=d)
         columns[0] /= basis.mu[:n_loads] + lam
-        for chunk, diff in ctx._mode_chunks(columns):
-            # the FEM gradient is constant on each element
-            diff -= np.einsum("ck,ckB->cB", G[chunk, :, d], sols[mesh.elements[chunk]])[:, None, :]
-            diff *= diff
-            errors += np.einsum("cq,cqB->B", ctx.qweights[chunk], diff)
+        # the FEM gradient is constant on each element
+        errors += ctx._error_sums(columns, sols, G[:, None, :, d])
     return float(np.max(errors))

@@ -466,12 +466,12 @@ def locate_points(mesh: Mesh, points) -> tuple[np.ndarray, np.ndarray]:
             t = min(max(t, 0.0), 1.0)
             weights[k] = 1.0 - t, t
         return mesh.elements[found], weights
-    ax, ay, bx, by, cx, cy, det, bary_tol = mesh.locator
+    ax, ay, bx, by, cx, cy, det, la, lb, lc = mesh.locator
     for k, p in enumerate(pts):
         w1 = ((bx - p[0]) * (cy - p[1]) - (cx - p[0]) * (by - p[1])) / det
         w2 = ((cx - p[0]) * (ay - p[1]) - (ax - p[0]) * (cy - p[1])) / det
         w3 = 1.0 - w1 - w2
-        idx = np.nonzero((w1 >= -bary_tol) & (w2 >= -bary_tol) & (w3 >= -bary_tol))[0]
+        idx = np.nonzero((w1 >= la) & (w2 >= lb) & (w3 >= lc))[0]
         if idx.size == 0:
             raise ValueError(f"point {tuple(p)} is outside the mesh")
         e = found[k] = idx[0]

@@ -119,8 +119,10 @@ class Mesh:
 
         With tol = 1e-12 max(h, 1): in 1D (left, right, lo, hi), the segment
         ends and the same ends widened by tol; in 2D (ax, ay, bx, by, cx, cy,
-        det, bary_tol), the corner coordinate columns, twice the signed areas
-        and the barycentric tolerance tol / max(sqrt(min |det|), tol).
+        det, la, lb, lc), the corner coordinate columns, twice the signed
+        areas and each corner's lowest accepted barycentric weight,
+        -tol |opposite edge| / |det|: a displacement by tol changes that
+        corner's weight by at most tol |opposite edge| / |det|.
         """
         tol = 1e-12 * max(self.h, 1.0)
         if self.dim == 1:
@@ -130,11 +132,13 @@ class Mesh:
         else:
             (ax, bx, cx), (ay, by, cy) = (c.T.copy() for c in self.corners())
             det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-            bary_tol = tol / max(np.sqrt(np.abs(det).min()), tol)
-            arrays = (ax, ay, bx, by, cx, cy, det)
+            edges = ((cx - bx, cy - by), (ax - cx, ay - cy), (bx - ax, by - ay))  # opposite a, b, c
+            # hypot, because a squared edge can overflow where the edge does not
+            lows = [-tol * (np.hypot(dx, dy) / np.abs(det)) for dx, dy in edges]
+            arrays = (ax, ay, bx, by, cx, cy, det, *lows)
         for a in arrays:
             a.setflags(write=False)
-        return arrays if self.dim == 1 else (*arrays, bary_tol)
+        return arrays
 
     def boundary_nodes(self) -> np.ndarray:
         """Sorted unique indices of nodes lying on boundary facets."""

@@ -447,12 +447,19 @@ def test_covariance_check_passes_correct_output_at_twenty_paths(monkeypatch):
             assert se[i, i] * se[j, j] / 2 <= se[i, j] ** 2 <= se[i, i] * se[j, j] * (1 + 1e-12)
 
 
-def test_converge_does_not_depend_on_blas_threads(tmp_path):
+_SQUARE = "domain = rectangle\nlx = 3.141592653589793\nly = 3.141592653589793\nlevels = 8, 16, 32\n"
+
+
+@pytest.mark.parametrize("domain", [
+    _SQUARE + "bc = neumann\n",
+    _SQUARE + "bc = dirichlet\n",
+    _SQUARE + "bc = robin\nbeta = 0.5\n",
+    "domain = interval\na = 0\nb = 2\nbc = robin\nbeta = 1.5\nlevels = 16, 32, 64\n",
+], ids=["neumann", "dirichlet", "robin", "interval-robin"])
+def test_converge_does_not_depend_on_blas_threads(tmp_path, domain):
+    # the error kernel interpolates each chunk of elements by a BLAS matmul
     trees = _trees_under_blas_threads(
-        tmp_path,
-        "domain = rectangle\nlx = 3.141592653589793\nly = 3.141592653589793\nbc = neumann\n"
-        "lambda = 1.0\nr = 0.1\nlevels = 8, 16, 32\nbasis_count = 512\nseed = 3\n",
-        ("converge",),
+        tmp_path, domain + "lambda = 1.0\nr = 0.1\nbasis_count = 512\nseed = 3\n", ("converge",),
     )
     assert len(trees[0]) == 3
     assert trees[0] == trees[1]

@@ -11,6 +11,7 @@ from whitefem.convergence import (
     holder_modulus,
     hs_embedding_bound,
     l2_realization_diagnostic,
+    pair_separations,
     truncation_error_closed_form,
 )
 import whitefem.convergence as convergence
@@ -46,6 +47,14 @@ class TestFitRate:
     def test_nonpositive_error_rejected(self):
         with pytest.raises(ValueError):
             fit_rate([(0.4, 1.0), (0.2, 0.0), (0.1, 0.1)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["h", "error"])
+    def test_non_finite_level_rejected(self, where, bad):
+        levels = [(0.4, 1.0), (0.2, 0.3), (0.1, 0.1)]
+        levels[1] = (bad, 0.3) if where == "h" else (0.2, bad)
+        with pytest.raises(ValueError, match="^rate fit requires finite positive h and finite positive errors$"):
+            fit_rate(levels)
 
 
 class TestDeterministicFemError:
@@ -175,7 +184,8 @@ class TestChunkedErrorKernel:
         basis = eigenpairs(domain, bc, 160)
         ctx = _LevelContext(make_mesh(), bc, 1.0)
         for k0, k1 in ((0, 100), (100, 160)):
-            chunks = [values for _, values in ctx._mode_chunks(ctx._mode_columns(basis, k0, k1))]
+            # each chunk is copied: the next one overwrites its buffer
+            chunks = [values.copy() for _, values in ctx._mode_chunks(ctx._mode_columns(basis, k0, k1))]
             got = np.concatenate(chunks).reshape(-1, k1 - k0)
             want = basis.evaluate(_flat_points(ctx.mesh), k0, k1).T
             assert got.tobytes() == want.tobytes()
@@ -363,6 +373,20 @@ class TestHolder:
         f1 = holder_modulus(op, pairs)
         f2 = holder_modulus(op, swapped)
         assert f1.alpha == pytest.approx(f2.alpha, abs=1e-11)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_point_rejected(self, side, bad):
+        x0 = np.array([1.5, 1.5])
+        pairs = [[tuple(x0), tuple(x0 + [s, 0])] for s in np.geomspace(0.05, 1.0, 6)]
+        pairs[2][side] = (1.5, bad)
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            pair_separations(pairs)
+
+    def test_overflowing_separation_rejected(self):
+        pairs = [((0.0, 0.0), (s, 0.0)) for s in np.geomspace(0.05, 1.0, 6)] + [((-1e308, 0.0), (1e308, 0.0))]
+        with pytest.raises(ValueError, match="overflowing separation"), np.errstate(over="ignore"):
+            pair_separations(pairs)
 
     def test_needs_five_pairs(self, op):
         with pytest.raises(ValueError):

@@ -581,8 +581,9 @@ def _point_evaluation_loop(mesh, point):
     w1 = ((b[:, 0] - p[0]) * (c[:, 1] - p[1]) - (c[:, 0] - p[0]) * (b[:, 1] - p[1])) / det
     w2 = ((c[:, 0] - p[0]) * (a[:, 1] - p[1]) - (a[:, 0] - p[0]) * (c[:, 1] - p[1])) / det
     w3 = 1.0 - w1 - w2
-    bary_tol = tol / max(np.sqrt(np.abs(det).min()), tol)
-    e = np.nonzero((w1 >= -bary_tol) & (w2 >= -bary_tol) & (w3 >= -bary_tol))[0][0]
+    # each corner's tolerance: tol times the opposite edge's length, over |det|
+    ta, tb, tc = (tol * (np.hypot(*(q - r).T) / np.abs(det)) for q, r in ((c, b), (a, c), (b, a)))
+    e = np.nonzero((w1 >= -ta) & (w2 >= -tb) & (w3 >= -tc))[0][0]
     w = np.clip(np.array([w1[e], w2[e], w3[e]]), 0.0, None)
     return mesh.elements[e], w / w.sum()
 
@@ -626,7 +627,7 @@ class TestLocatePoints:
             assert np.array_equal(again_idx, idx) and again_w.tobytes() == w.tobytes()
         assert mesh.locator is setup
         arrays = [a for a in setup if isinstance(a, np.ndarray)]
-        assert len(arrays) == (4 if mesh.dim == 1 else 7)
+        assert len(arrays) == (4 if mesh.dim == 1 else 10)
         for a in arrays:
             assert a.shape == (mesh.n_elements,) and not a.flags.writeable
             with pytest.raises(ValueError):

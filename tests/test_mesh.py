@@ -173,6 +173,9 @@ def test_h_and_location_on_a_mesh_whose_squared_edges_overflow():
     idx, weights = locate_points(mesh, [(5e159, 1e-161)])
     assert idx.tolist() == [[0, 1, 2]]
     np.testing.assert_allclose(weights[0], [0.4, 0.5, 0.1], rtol=1e-12)
+    # outside by half the longest edge, far beyond the 1e-12 h tolerance
+    with pytest.raises(ValueError, match="is outside the mesh"):
+        locate_points(mesh, [(-5e159, 0.0)])
 
 
 def test_mesh_validation_rejects_wrong_boundary():
@@ -403,7 +406,8 @@ def _geometry_reference(mesh):
         tol = 1e-12 * max(h, 1.0)
         (ax, ay), (bx, by), (cx, cy) = (pts[:, i].T for i in range(3))
         det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-        locator = (ax, ay, bx, by, cx, cy, det, tol / max(np.sqrt(np.abs(det).min()), tol))
+        edges = ((cx - bx, cy - by), (ax - cx, ay - cy), (bx - ax, by - ay))
+        locator = (ax, ay, bx, by, cx, cy, det, *(-tol * (np.hypot(dx, dy) / np.abs(det)) for dx, dy in edges))
         p = mesh.nodes[mesh.facet_nodes]
         facets = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
         opposite = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
