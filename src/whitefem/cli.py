@@ -104,6 +104,7 @@ class ExperimentConfig:
         return 2
 
     def base_mesh(self, n: int) -> Mesh:
+        """The mesh of level n; a Dirichlet mesh with no interior node is refused."""
         if self.mesh_file is not None:
             try:
                 mesh = read_mesh(self.mesh_file)
@@ -111,10 +112,14 @@ class ExperimentConfig:
                 raise ConfigError("mesh_file", str(exc)) from None
             for _ in range(n):
                 mesh = refine_uniform(mesh)
-            return mesh
-        if isinstance(self.domain, Interval):
-            return build_interval_mesh(self.domain.a, self.domain.b, n)
-        return build_rectangle_mesh(self.domain.lx, self.domain.ly, n, n)
+        elif isinstance(self.domain, Interval):
+            mesh = build_interval_mesh(self.domain.a, self.domain.b, n)
+        else:
+            mesh = build_rectangle_mesh(self.domain.lx, self.domain.ly, n, n)
+        if self.bc.kind == "dirichlet" and mesh.boundary_nodes().size == mesh.n_nodes:
+            raise ConfigError("mesh_file" if self.mesh_file is not None else "levels",
+                              f"bc = dirichlet leaves no free node: every node of level {n} is on the boundary")
+        return mesh
 
 
 class Key(NamedTuple):

@@ -9,7 +9,7 @@ supported through the plain-text file format of :func:`read_mesh`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +41,11 @@ class Mesh:
         Node indices per boundary facet (single node in 1D, edge in 2D).
     facet_sides : array, shape (n_facets,)
         Integer side tag per boundary facet.
+
+    A mesh refuses non-finite coordinates, an index out of range, an element
+    whose measure is not positive and finite, and facets that do not cover
+    its topological boundary exactly once (a facet declared twice, in either
+    node order, included).  2D refinement skips only that last check.
     """
 
     dim: int
@@ -48,8 +53,11 @@ class Mesh:
     elements: np.ndarray
     facet_nodes: np.ndarray
     facet_sides: np.ndarray
+    _: KW_ONLY
+    # set only by _refine_2d, which has checked the parent's cover
+    _cover_proved: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _cover_proved):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         object.__setattr__(self, "nodes", _frozen(self.nodes, np.float64))
@@ -57,6 +65,8 @@ class Mesh:
         object.__setattr__(self, "facet_nodes", _frozen(self.facet_nodes, np.int64))
         object.__setattr__(self, "facet_sides", _frozen(self.facet_sides, np.int64))
         self._validate()
+        if not _cover_proved:
+            self._check_boundary_cover()
 
     # -- basic counts ------------------------------------------------------
 
@@ -171,9 +181,11 @@ class Mesh:
             i = int(bad[0])
             kind = "nonpositive" if meas[i] <= 0 else "non-finite"
             raise ValueError(f"element {i} has {kind} measure {float(meas[i])}")
-        self._check_boundary_cover()
 
     def _check_boundary_cover(self):
+        """Every element facet lies in two elements, or in one element and
+        one declared boundary facet, and every declared facet is one element
+        facet, declared once; ValueError otherwise."""
         # Facets of each element as keys (its nodes in 1D, its edges ab, bc,
         # ca in 2D); boundary facets appear once.
         e = self.elements
@@ -184,7 +196,13 @@ class Mesh:
         boundary = keys[starts[counts == 1]]
         if (counts > 2).any():
             raise ValueError("a facet is shared by more than two elements")
-        declared = np.unique(self._facet_keys(self.facet_nodes))
+        facet_keys = self._facet_keys(self.facet_nodes)
+        declared = np.sort(facet_keys)
+        twice = np.flatnonzero(declared[1:] == declared[:-1])
+        if twice.size:
+            first, again = np.flatnonzero(facet_keys == declared[twice[0]])[:2]
+            raise ValueError(f"facet {self.facet_nodes[again].tolist()} is declared twice, "
+                             f"as boundary facets {first} and {again}")
         if not np.array_equal(declared, boundary):
             raise ValueError(
                 "declared boundary facets do not cover the topological boundary: "
@@ -250,7 +268,15 @@ def build_rectangle_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
-    """Split every element (in 2 in 1D, in 4 congruent triangles in 2D)."""
+    """Split every element (in 2 in 1D, in 4 congruent triangles in 2D).
+
+    In 2D the edge sort that numbers the midpoints also checks the parent's
+    boundary cover (every edge met twice: by two elements, or by one element
+    and one facet), and the child's cover is not checked again: each child
+    facet is half of a parent facet, and each new interior edge lies in two
+    children.  Its other checks run: midpoints can overflow, and quarter
+    measures underflow.
+    """
     if mesh.dim == 1:
         return _refine_1d(mesh)
     return _refine_2d(mesh)
@@ -282,6 +308,11 @@ def _refine_2d(mesh: Mesh) -> Mesh:
     sorted_keys = keys[order]
     head = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
     leaders = order[head]
+    # The parent's cover: runs of exactly two, each led by an element edge
+    # (two elements, or one element and then one facet).
+    if keys.size % 2 or not head[::2].all() or head[1::2].any() or (leaders >= 3 * m).any():
+        raise ValueError("cannot refine: an edge lies neither in two elements "
+                         "nor in one element and one boundary facet")
     first = np.zeros(keys.size, dtype=bool)
     first[leaders] = True
     number = n0 - 1 + np.cumsum(first)
@@ -300,7 +331,7 @@ def _refine_2d(mesh: Mesh) -> Mesh:
     for k, column in enumerate((i, mf, mf, j)):
         facets[:, k] = column
     sides = np.repeat(mesh.facet_sides, 2)
-    return Mesh(2, nodes, elements.reshape(-1, 3), facets.reshape(-1, 2), sides)
+    return Mesh(2, nodes, elements.reshape(-1, 3), facets.reshape(-1, 2), sides, _cover_proved=True)
 
 
 # -- plain-text mesh files --------------------------------------------------

@@ -21,7 +21,7 @@ from whitefem.fem import (
     neumann,
     robin,
 )
-from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
+from whitefem.mesh import Mesh, build_interval_mesh, build_rectangle_mesh, refine_uniform
 from whitefem.noise import GaussianStream
 from whitefem.sampling import DiscreteSolutionOperator, sample_path_with_load
 from whitefem.spectral import Rectangle, eigenpairs
@@ -173,6 +173,17 @@ class TestScaleSpace:
         expected = np.sqrt(1.0 * 2.0**2 + 0.25 * 4.0**2)
         assert scale_space_norm(g, basis).value == pytest.approx(expected)
 
+    def test_annulus_is_refused(self):
+        # a square annulus, outer square 0..3 and hole 1..2, in 8 triangles:
+        # a valid mesh whose boundary is two loops
+        nodes = [[0, 0], [3, 0], [3, 3], [0, 3], [1, 1], [2, 1], [2, 2], [1, 2]]
+        elements = [[0, 1, 5], [0, 5, 4], [1, 2, 6], [1, 6, 5], [2, 3, 7], [2, 7, 6], [3, 0, 4], [3, 4, 7]]
+        facets = [[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [5, 6], [6, 7], [7, 4]]
+        m = Mesh(2, nodes, elements, facets, [0] * 8)
+        assert m.element_measures.sum() == 8.0
+        with pytest.raises(ValueError, match="^boundary has more than one loop$"):
+            scale_space_basis(m)
+
     def test_weights_strictly_decreasing(self):
         m = build_rectangle_mesh(1.0, 1.0, 3, 3)
         basis = scale_space_basis(m, n_modes=15)
@@ -231,6 +242,12 @@ class TestMeasurableTraceSeries:
         mesh, op, basis, system = setup
         with pytest.raises(ValueError):
             CameronMartinSystem(op, basis, op.system.n_free + 1)
+
+    def test_exhausted_eigenbasis_is_refused(self, setup):
+        mesh, op, basis, system = setup
+        with pytest.raises(RuntimeError, match=r"^eigenbasis exhausted after 3 candidates while "
+                                               r"building 5 energy-orthonormal vectors$"):
+            CameronMartinSystem(op, eigenpairs(Rectangle(np.pi, np.pi), neumann(), 3), 5)
 
     def test_dirichlet_series_trace_is_zero(self):
         mesh = build_rectangle_mesh(1.0, 1.0, 4, 4)

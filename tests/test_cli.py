@@ -333,8 +333,10 @@ def test_unread_key_is_config_error(tmp_path, capsys, experiment, config, fld):
     "2 3 1 3\n0 0\n1 0\n",
     # a node coordinate that is not finite
     "2 3 1 3\n0 0\n1 0\n0 nan\n0 1 2\n0 1 0\n1 2 1\n2 0 2\n",
+    # the first edge declared twice, once in each node order
+    "2 3 1 4\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n2 0 2\n1 0 0\n",
     None,
-], ids=["clockwise", "truncated", "nan-node", "missing"])
+], ids=["clockwise", "truncated", "nan-node", "duplicate-facet", "missing"])
 def test_bad_mesh_file_is_config_error(tmp_path, capsys, contents):
     bad_mesh = tmp_path / "bad_mesh.txt"
     if contents is not None:
@@ -505,6 +507,34 @@ def test_user_error_exits_2_naming_the_field(tmp_path, capsys, experiment, confi
     assert code == 2
     assert f"config error: field '{fld}'" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("domain", [SQUARE, INTERVAL], ids=["rectangle", "interval"])
+@pytest.mark.parametrize("experiment, keys", [
+    ("solve", "levels = 1\n"),
+    ("sample", "levels = 1\nsamples = 10\n"),
+    ("converge", "levels = 1 2 4\nbasis_count = 16\n"),
+])
+def test_dirichlet_mesh_without_interior_node_exits_2(tmp_path, capsys, domain, experiment, keys):
+    # one cell (one segment) has every node on the boundary: no free degree of freedom
+    code, outdir = run_cli(tmp_path, experiment, domain.replace("neumann", "dirichlet") + keys)
+    assert code == 2
+    assert "config error: field 'levels': bc = dirichlet leaves no free node" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_dirichlet_file_mesh_without_interior_node_exits_2(tmp_path, capsys):
+    # one triangle refined once: its 6 nodes all lie on the boundary
+    mesh = tmp_path / "triangle.txt"
+    mesh.write_text("2 3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n2 0 2\n")
+    config = f"mesh_file = {mesh}\nbc = dirichlet\nlambda = 1.0\nlevels = 1\n"
+    code, outdir = run_cli(tmp_path, "solve", config)
+    assert code == 2
+    assert "config error: field 'mesh_file': bc = dirichlet leaves no free node" in capsys.readouterr().err
+    assert not outdir.exists()
+    # one more refinement has interior nodes, and runs
+    code, outdir = run_cli(tmp_path, "solve", config.replace("levels = 1", "levels = 2"))
+    assert code == 0
 
 
 # Every key parsed as a number, with an experiment and a config that read it.

@@ -359,6 +359,11 @@ class TestSolve:
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(sysm.A, attr), getattr(csc, attr))
 
+    def test_dirichlet_without_interior_node_is_refused(self):
+        # the four nodes of one cell all lie on the boundary
+        with pytest.raises(ValueError, match=r"^no free degrees of freedom \(Dirichlet on a boundary-only mesh\)$"):
+            FactorizedSystem(build_rectangle_mesh(1.0, 1.0, 1, 1), dirichlet(), 1.0)
+
     def test_dirichlet_solve_reembeds_exact_zeros(self):
         m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 4, 3))
         sysm = FactorizedSystem(m, dirichlet(), 0.7)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,29 @@ def test_mesh_validation_accepts_facets_in_any_node_order():
     assert m.n_facets == 4
 
 
+@pytest.mark.parametrize("dim, facets, message", [
+    (2, [[0, 1], [1, 2], [2, 3], [3, 0], [0, 1]], r"facet \[0, 1\] is declared twice, as boundary facets 0 and 4"),
+    (2, [[0, 1], [1, 2], [2, 3], [3, 0], [1, 0]], r"facet \[1, 0\] is declared twice, as boundary facets 0 and 4"),
+    (2, [[1, 0], [2, 1], [2, 3], [1, 2], [0, 3]], r"facet \[1, 2\] is declared twice, as boundary facets 1 and 3"),
+    (1, [[0], [2], [2]], r"facet \[2\] is declared twice, as boundary facets 1 and 2"),
+], ids=["2d-same-order", "2d-reversed", "2d-interleaved", "1d"])
+def test_mesh_validation_rejects_a_duplicated_facet(dim, facets, message, tmp_path):
+    # counted twice, such a facet doubled its share of the boundary mass
+    if dim == 1:
+        nodes, elements = [[0.0], [1.0], [2.0]], [[0, 1], [1, 2]]
+    else:
+        nodes, elements = [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Mesh(dim, nodes, elements, facets, [0] * len(facets))
+    path = tmp_path / "mesh.txt"
+    rows = [f"{dim} {len(nodes)} {len(elements)} {len(facets)}"]
+    rows += [" ".join(map(str, row)) for row in (*nodes, *elements)]
+    rows += [" ".join(map(str, row)) + " 0" for row in facets]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_mesh(path)
+
+
 def test_mesh_file_roundtrip_bit_identical(tmp_path):
     m = refine_uniform(build_rectangle_mesh(np.pi, np.e, 3, 2))
     p1 = tmp_path / "mesh.txt"
@@ -445,3 +470,71 @@ def test_geometry_matches_corner_array_reference(mesh, tmp_path):
                 x, y = np.asarray(x), np.asarray(y)
                 assert x.dtype == y.dtype and x.shape == y.shape, name
                 assert x.tobytes() == y.tobytes(), name
+
+
+# -- the boundary cover under refinement -------------------------------------
+
+
+def _test_mesh(name, tmp_path):
+    path = tmp_path / "pentagon.txt"
+    path.write_text(_PENTAGON)
+    return {
+        "square": lambda: build_rectangle_mesh(1.0, 1.0, 1, 1),
+        "rectangle": lambda: build_rectangle_mesh(np.pi, 2.0, 5, 3),
+        "perturbed": _perturbed_rectangle,
+        "polygon": lambda: read_mesh(path),
+        "interval": lambda: build_interval_mesh(-1.0, np.e, 5),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["square", "rectangle", "perturbed", "polygon", "interval"])
+def test_every_refined_mesh_passes_the_full_cover_check(name, tmp_path):
+    mesh = _test_mesh(name, tmp_path)
+    for _ in range(3):
+        mesh = refine_uniform(mesh)
+        mesh._check_boundary_cover()
+
+
+def test_only_2d_refinement_skips_the_child_cover_check(monkeypatch, tmp_path):
+    calls = []
+    check = Mesh._check_boundary_cover
+
+    def counting(self):
+        calls.append(self.n_elements)
+        check(self)
+
+    monkeypatch.setattr(Mesh, "_check_boundary_cover", counting)
+    builds = {
+        "build_rectangle_mesh": lambda: _test_mesh("rectangle", tmp_path),
+        "read_mesh": lambda: _test_mesh("polygon", tmp_path),
+        "build_interval_mesh": lambda: _test_mesh("interval", tmp_path),
+        "Mesh": lambda: Mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]], [0, 0, 0]),
+    }
+    # the flag that skips it is an init-only argument, not a field of the mesh
+    assert [f.name for f in dataclasses.fields(Mesh)] == ["dim", "nodes", "elements", "facet_nodes", "facet_sides"]
+    for name, build in builds.items():
+        calls.clear()
+        mesh = build()
+        assert calls == [mesh.n_elements], name
+        calls.clear()
+        refine_uniform(mesh)
+        assert calls == ([] if mesh.dim == 2 else [2 * mesh.n_elements]), name
+
+
+@pytest.mark.parametrize("facets", [
+    [[0, 1], [1, 2], [2, 3]],
+    [[0, 1], [1, 2], [2, 3], [1, 3]],
+    [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]],
+    [[0, 1], [1, 2], [2, 3], [3, 0], [1, 0]],
+    [[0, 1], [1, 2], [2, 3], [3, 0], [1, 3], [3, 1]],
+], ids=["missing", "swapped", "interior", "duplicated", "in-no-element"])
+def test_refinement_checks_the_parent_cover(monkeypatch, facets):
+    # a parent built with its own cover check switched off
+    with monkeypatch.context() as patch:
+        patch.setattr(Mesh, "_check_boundary_cover", lambda self: None)
+        parent = Mesh(2, [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]], facets, [0] * len(facets))
+    with pytest.raises(ValueError):
+        parent._check_boundary_cover()
+    message = "^cannot refine: an edge lies neither in two elements nor in one element and one boundary facet$"
+    with pytest.raises(ValueError, match=message):
+        refine_uniform(parent)
