@@ -296,6 +296,12 @@ def deterministic_fem_error(
     of _LevelContext.solutions; loads and solves pass through it 32 columns
     at a time.
 
+    A level's _LevelContext (its factor, K, M, A and quadrature tables) is
+    built by its first block.  With a fixed basis_count it is dropped after
+    the level's last block, so a one-block sum holds one level at a time;
+    an adaptive sum keeps every level, since its stop rule reads them all
+    at each checkpoint.  The order of every sum is unchanged.
+
     The reported per-level tail bound is the coercivity bound
     (2 / lam)^2 * sum_{k > count} (1 + mu_k)^{-r}; it is rigorous but loose,
     and is informational rather than a gate (see the report increments for
@@ -310,7 +316,7 @@ def deterministic_fem_error(
     adaptive = basis_count is None
     cap = ADAPT_CAP if adaptive else basis_count
     basis = eigenpairs(domain, bc, cap)
-    contexts = [_LevelContext(mesh, bc, lam) for mesh in meshes]
+    contexts: list[_LevelContext | None] = [None] * len(meshes)
     weights = (1.0 + basis.mu) ** (-r)
 
     totals = np.zeros(len(meshes))
@@ -319,8 +325,11 @@ def deterministic_fem_error(
     count = 0
     while count < cap:
         k1 = min(count + _BLOCK, cap)
-        for i, ctx in enumerate(contexts):
+        for i, mesh in enumerate(meshes):
+            ctx = contexts[i] or _LevelContext(mesh, bc, lam)
             totals[i] += float(weights[count:k1] @ ctx.block_errors(basis, lam, count, k1, load_rule))
+            contexts[i] = ctx if adaptive or k1 < cap else None
+            del ctx  # a dropped level is freed before the next level is built
         count = k1
         if adaptive and count >= next_check:
             checkpoints.append((count, totals.copy()))

@@ -42,10 +42,11 @@ class Mesh:
     facet_sides : array, shape (n_facets,)
         Integer side tag per boundary facet.
 
-    A mesh refuses non-finite coordinates, an index out of range, an element
-    whose measure is not positive and finite, and facets that do not cover
-    its topological boundary exactly once (a facet declared twice, in either
-    node order, included).  2D refinement skips only that last check.
+    A mesh refuses arrays of other shapes, no elements, non-finite
+    coordinates, an index out of range, an element whose measure is not
+    positive and finite, and facets that do not cover its topological
+    boundary exactly once (a facet declared twice, in either node order,
+    included).  2D refinement skips only that last check.
     """
 
     dim: int
@@ -166,14 +167,22 @@ class Mesh:
 
     def _validate(self):
         n = self.n_nodes
+        if self.nodes.ndim != 2 or self.nodes.shape[1] != self.dim:
+            raise ValueError("nodes must have dim coordinates each")
+        if self.elements.ndim != 2 or self.elements.shape[1] != self.dim + 1:
+            raise ValueError("elements must have dim + 1 nodes each")
+        if not self.n_elements:
+            raise ValueError("mesh has no elements")
+        if self.facet_nodes.ndim != 2 or self.facet_nodes.shape[1] != self.dim:
+            raise ValueError("boundary facets must have dim nodes each")
+        if self.facet_sides.shape != (self.n_facets,):
+            raise ValueError("boundary facets must have one side tag each")
         if not np.isfinite(self.nodes).all():
             raise ValueError("node coordinates must be finite")
-        if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= n):
+        if self.elements.min() < 0 or self.elements.max() >= n:
             raise ValueError("element refers to a node index out of range")
         if self.facet_nodes.size and (self.facet_nodes.min() < 0 or self.facet_nodes.max() >= n):
             raise ValueError("boundary facet refers to a node index out of range")
-        if self.elements.shape[1] != self.dim + 1:
-            raise ValueError("elements must have dim + 1 nodes each")
         meas = self.element_measures
         # written so that NaN fails it, as an overflowed measure (inf) does
         bad = np.flatnonzero(~((meas > 0) & (meas < np.inf)))
@@ -354,24 +363,48 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def read_mesh(path) -> Mesh:
+    """The mesh a file of the format above describes.
+
+    A malformed file raises ValueError naming the path, and the line for a
+    bad header or row: a row of the wrong width, a token that is not a
+    number, an index outside the 64-bit range.  The mesh itself is then
+    checked by Mesh.
+    """
     with open(path, encoding="ascii") as f:
-        tokens = [line.split() for line in f if line.strip()]
-    if not tokens:
+        rows = [(number, line.split()) for number, line in enumerate(f, 1) if line.strip()]
+    if not rows:
         raise ValueError(f"{path}: empty mesh file")
-    header = tokens[0]
-    if len(header) != 4:
-        raise ValueError(f"{path}: header must be 'dim n_nodes n_elements n_facets'")
-    dim, n_nodes, n_elements, n_facets = (int(t) for t in header)
+    line, header = rows[0]
+    try:  # a token that is not an integer, or not four tokens
+        dim, n_nodes, n_elements, n_facets = (int(t) for t in header)
+    except ValueError:
+        raise ValueError(f"{path}: line {line}: header must be 'dim n_nodes n_elements n_facets'") from None
+    if dim not in (1, 2) or min(n_nodes, n_elements, n_facets) < 0:
+        raise ValueError(f"{path}: line {line}: header needs dim 1 or 2 and counts of at least 0")
     expected = 1 + n_nodes + n_elements + n_facets
-    if len(tokens) != expected:
-        raise ValueError(f"{path}: expected {expected} lines, found {len(tokens)}")
-    rows = tokens[1:]
-    nodes = np.array([[float(t) for t in row] for row in rows[:n_nodes]])
-    rows = rows[n_nodes:]
-    elements = np.array([[int(t) for t in row] for row in rows[:n_elements]], dtype=np.int64)
-    rows = rows[n_elements:]
-    facet_nodes = np.array([[int(t) for t in row[:-1]] for row in rows], dtype=np.int64)
-    facet_sides = np.array([int(row[-1]) for row in rows], dtype=np.int64)
-    if nodes.shape[1] != dim:
-        raise ValueError(f"{path}: node coordinates do not match dim={dim}")
-    return Mesh(dim, nodes, elements, facet_nodes.reshape(n_facets, dim), facet_sides)
+    if len(rows) != expected:
+        raise ValueError(f"{path}: expected {expected} lines, found {len(rows)}")
+    body = rows[1:]
+    nodes = _read_section(path, "node", body[:n_nodes], dim, float)
+    elements = _read_section(path, "element", body[n_nodes:n_nodes + n_elements], dim + 1, int)
+    facets = _read_section(path, "facet", body[n_nodes + n_elements:], dim + 1, int)
+    return Mesh(dim, nodes, elements, facets[:, :-1], facets[:, -1])
+
+
+def _read_section(path, name: str, rows: list, width: int, kind) -> np.ndarray:
+    """The (line number, tokens) rows of one section as an array of shape
+    (len(rows), width), of floats or of 64-bit integers as kind says."""
+    values = []
+    for line, tokens in rows:
+        if len(tokens) != width:
+            raise ValueError(f"{path}: line {line}: {name} row has {len(tokens)} values, expected {width}")
+        try:
+            values.append([kind(t) for t in tokens])
+        except ValueError:
+            raise ValueError(f"{path}: line {line}: {name} row holds a value that is not "
+                             f"{'a number' if kind is float else 'an integer'}") from None
+    try:
+        return np.array(values, dtype=np.float64 if kind is float else np.int64).reshape(len(rows), width)
+    except OverflowError:
+        line = next(line for (line, _), row in zip(rows, values) if not all(-2**63 <= v < 2**63 for v in row))
+        raise ValueError(f"{path}: line {line}: {name} row holds an integer outside the 64-bit range") from None

@@ -336,15 +336,39 @@ def test_unread_key_is_config_error(tmp_path, capsys, experiment, config, fld):
     # the first edge declared twice, once in each node order
     "2 3 1 4\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n2 0 2\n1 0 0\n",
     None,
-], ids=["clockwise", "truncated", "nan-node", "duplicate-facet", "missing"])
+    "",
+    "2 3 1\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n2 0 2\n",
+    "2 3 one 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n2 0 2\n",
+    "3 3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n2 0 2\n",
+    "2 3 -1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n2 0 2\n",
+    # header promises fewer lines than the file has
+    "2 3 1 2\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n2 0 2\n",
+    # these two exited 1 with a traceback, from IndexError and OverflowError
+    "2 3 0 0\n0 0\n1 0\n0 1\n",
+    "2 3 1 3\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n0 1 0\n1 2 1\n2 0 2\n",
+    "2 3 1 3\n0 0\n1 0\n0 1\n0 1 3\n0 1 0\n1 2 1\n2 0 2\n",
+    "2 3 1 3\n0 0\n1 0\n0 1\n0 1 2.0\n0 1 0\n1 2 1\n2 0 2\n",
+    "2 3 1 3\n0 0\n1\n0 1\n0 1 2\n0 1 0\n1 2 1\n2 0 2\n",
+    "2 3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 1\n2 0 2\n",
+    "2 3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 0\n1 1\n2 2\n",
+    # the last facet left out, and not counted
+    "2 3 1 2\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n",
+], ids=["clockwise", "truncated", "nan-node", "duplicate-facet", "missing", "empty", "short-header",
+        "header-word", "dim-3", "negative-count", "extra-line", "no-elements", "overflowing-index",
+        "index-out-of-range", "decimal-index", "one-coordinate-node", "one-index-facet",
+        "one-column-facets", "missing-facet"])
 def test_bad_mesh_file_is_config_error(tmp_path, capsys, contents):
+    # run in process: an exception that escaped main would fail the test, as
+    # it would end the command with a traceback and exit 1
     bad_mesh = tmp_path / "bad_mesh.txt"
     if contents is not None:
         bad_mesh.write_text(contents)
     config = f"mesh_file = {bad_mesh}\nbc = neumann\nlambda = 1.0\nlevels = 1\nsamples = 10\n"
     code, outdir = run_cli(tmp_path, "sample", config)
+    err = capsys.readouterr().err
     assert code == 2
-    assert "field 'mesh_file'" in capsys.readouterr().err
+    assert err.startswith("config error: field 'mesh_file': ")
+    assert "Traceback" not in err
     assert not outdir.exists()
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -263,6 +264,100 @@ def test_slab_errors_equal_the_whole_block_errors(bc, load_rule):
             want = ctx.l2_errors(basis, 1.0, k0, k1, ctx.solutions(basis, k0, k1, load_rule))
             assert np.array_equal(ctx.block_errors(basis, 1.0, k0, k1, load_rule), want)
         mesh = refine_uniform(mesh)
+
+
+def _hierarchy(domain, coarsest, levels=3):
+    mesh = (build_interval_mesh(domain.a, domain.b, coarsest) if isinstance(domain, Interval)
+            else build_rectangle_mesh(domain.lx, domain.ly, coarsest, coarsest))
+    meshes = [mesh]
+    for _ in range(levels - 1):
+        mesh = refine_uniform(mesh)
+        meshes.append(mesh)
+    return meshes
+
+
+HIERARCHY_CASES = {
+    "neumann": (Rectangle(np.pi, 2.0), neumann(), 4),
+    "dirichlet": (Rectangle(np.pi, 2.0), dirichlet(), 4),
+    "robin": (Rectangle(np.pi, 2.0), robin(0.6), 4),
+    "interval-robin": (Interval(0.0, 2.0), robin(1.5), 8),
+}
+
+
+@pytest.mark.parametrize("load_rule", ["interpolation", "quadrature"])
+@pytest.mark.parametrize("budget", [256, 768])
+@pytest.mark.parametrize("case", sorted(HIERARCHY_CASES))
+def test_fixed_budget_sum_equals_per_level_totals(case, budget, load_rule):
+    # contexts made up front and summed block by block, level by level: the
+    # sum that builds each level on demand and drops it keeps every bit
+    domain, bc, coarsest = HIERARCHY_CASES[case]
+    lam, r = 1.3, 0.6
+    meshes = _hierarchy(domain, coarsest)
+    rep = deterministic_fem_error(domain, bc, lam, r, meshes[::-1], basis_count=budget, load_rule=load_rule)
+    basis = eigenpairs(domain, bc, budget)
+    weights = (1.0 + basis.mu) ** (-r)
+    contexts = [_LevelContext(mesh, bc, lam) for mesh in meshes]
+    want = np.zeros(len(meshes))
+    for k0 in range(0, budget, convergence._BLOCK):
+        k1 = min(k0 + convergence._BLOCK, budget)
+        for i, ctx in enumerate(contexts):
+            want[i] += float(weights[k0:k1] @ ctx.block_errors(basis, lam, k0, k1, load_rule))
+    assert rep.basis_count == budget
+    assert [lv.h for lv in rep.levels] == [mesh.h for mesh in meshes]
+    assert np.array([lv.error_sq for lv in rep.levels]).tobytes() == want.tobytes()
+
+
+def _count_live_contexts(monkeypatch):
+    """Patch _LevelContext so that building one records ("built", the
+    contexts alive) and each block_errors call (k0, the contexts alive);
+    returns that list of records and the set of live contexts."""
+    live, seen = weakref.WeakSet(), []
+    init, block_errors = _LevelContext.__init__, _LevelContext.block_errors
+
+    def counted_init(self, *args):
+        init(self, *args)
+        live.add(self)
+        seen.append(("built", len(live)))
+
+    def counted_block_errors(self, basis, lam, k0, k1, load_rule="interpolation"):
+        seen.append((k0, len(live)))
+        return block_errors(self, basis, lam, k0, k1, load_rule)
+
+    monkeypatch.setattr(_LevelContext, "__init__", counted_init)
+    monkeypatch.setattr(_LevelContext, "block_errors", counted_block_errors)
+    return seen, live
+
+
+def test_a_one_block_sum_holds_one_level_at_a_time(monkeypatch):
+    # the benchmark's study: four levels, 8 x 8 to 64 x 64, one 256-mode block
+    seen, live = _count_live_contexts(monkeypatch)
+    deterministic_fem_error(Rectangle(np.pi, np.pi), neumann(), 1.0, 0.1,
+                            _hierarchy(Rectangle(np.pi, np.pi), 8, 4), basis_count=256)
+    assert seen == [("built", 1), (0, 1)] * 4
+    # freed as they were dropped, without a garbage collection
+    assert len(live) == 0
+
+
+def test_a_fixed_budget_drops_each_level_after_its_last_block(monkeypatch):
+    seen, live = _count_live_contexts(monkeypatch)
+    deterministic_fem_error(Rectangle(np.pi, 2.0), dirichlet(), 1.3, 0.6,
+                            _hierarchy(Rectangle(np.pi, 2.0), 4), basis_count=768)
+    # built by the first block, kept by the second, dropped level by level in the third
+    assert seen == [("built", 1), (0, 1), ("built", 2), (0, 2), ("built", 3), (0, 3),
+                    (256, 3), (256, 3), (256, 3), (512, 3), (512, 2), (512, 1)]
+    assert len(live) == 0
+
+
+def test_an_adaptive_sum_keeps_every_level(monkeypatch):
+    # the config of the CLI's adaptive test at r = 1.1, which meets the 1 %
+    # rule at 2,048 modes, as it did when every level was built up front
+    seen, live = _count_live_contexts(monkeypatch)
+    rep = deterministic_fem_error(Interval(0.0, 1.0), neumann(), 1.0, 1.1,
+                                  [build_interval_mesh(0.0, 1.0, n) for n in (4, 8, 16)])
+    assert rep.basis_count == 2048
+    first = [("built", 1), (0, 1), ("built", 2), (0, 2), ("built", 3), (0, 3)]
+    assert seen == first + [(k0, 3) for k0 in range(256, 2048, 256) for _ in range(3)]
+    assert len(live) == 0
 
 
 @pytest.fixture(scope="module")

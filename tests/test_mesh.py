@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,93 @@ def test_read_mesh_rejects_garbage(tmp_path):
     path.write_text("2 1 0\n")
     with pytest.raises(ValueError):
         read_mesh(path)
+
+
+def test_mesh_without_elements_is_refused(tmp_path):
+    # such a mesh was accepted, and its h then failed inside NumPy
+    with pytest.raises(ValueError, match="^mesh has no elements$"):
+        Mesh(2, [[0, 0], [1, 0], [0, 1]], np.empty((0, 3), int), np.empty((0, 2), int), [])
+    with pytest.raises(ValueError, match="^mesh has no elements$"):
+        Mesh(1, [[0.0], [1.0]], np.empty((0, 2), int), [[0], [1]], [0, 1])
+    # the file section with no rows used to reach Mesh as a 1-D array
+    path = tmp_path / "no_elements.txt"
+    path.write_text("2 3 0 0\n0 0\n1 0\n0 1\n")
+    with pytest.raises(ValueError, match="^mesh has no elements$"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("arrays, message", [
+    (([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]], [0, 0, 0]),
+     "nodes must have dim coordinates each"),
+    (([[0, 0], [1, 0], [0, 1]], [0, 1, 2], [[0, 1], [1, 2], [2, 0]], [0, 0, 0]),
+     "elements must have dim + 1 nodes each"),
+    (([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], [0, 1, 1, 2, 2, 0], [0, 0, 0]),
+     "boundary facets must have dim nodes each"),
+    (([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]], [0, 0]),
+     "boundary facets must have one side tag each"),
+], ids=["node-width", "flat-elements", "flat-facets", "short-sides"])
+def test_mesh_validation_rejects_misshapen_arrays(arrays, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Mesh(2, *arrays)
+
+
+TRIANGLE_FILE = ["2 3 1 3", "0 0", "1 0", "0 1", "0 1 2", "0 1 0", "1 2 1", "2 0 2"]
+
+
+def _triangle_file(tmp_path, replace: dict[int, str]) -> str:
+    """The one-triangle mesh file with the lines numbered in `replace` (from
+    1) replaced; returns its path."""
+    lines = [replace.get(k, line) for k, line in enumerate(TRIANGLE_FILE, 1)]
+    path = tmp_path / "mesh.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("replace, message", [
+    # a facet row with one index used to leak NumPy's "inhomogeneous shape"
+    ({7: "1 1"}, "line 7: facet row has 2 values, expected 3"),
+    # a facet section of one index per row, NumPy's "cannot reshape array"
+    ({6: "0 0", 7: "1 1", 8: "2 2"}, "line 6: facet row has 2 values, expected 3"),
+    ({3: "1 0 0"}, "line 3: node row has 3 values, expected 2"),
+    ({5: "0 1"}, "line 5: element row has 2 values, expected 3"),
+    ({5: "0 1 2 0"}, "line 5: element row has 4 values, expected 3"),
+    ({4: "0 one"}, "line 4: node row holds a value that is not a number"),
+    ({5: "0 1 2.0"}, "line 5: element row holds a value that is not an integer"),
+    ({8: "2 0 side"}, "line 8: facet row holds a value that is not an integer"),
+    ({1: "2 3 1"}, "line 1: header must be 'dim n_nodes n_elements n_facets'"),
+    ({1: "2 3 x 3"}, "line 1: header must be 'dim n_nodes n_elements n_facets'"),
+    ({1: "3 3 1 3"}, "line 1: header needs dim 1 or 2 and counts of at least 0"),
+    ({1: "2 3 -1 3"}, "line 1: header needs dim 1 or 2 and counts of at least 0"),
+], ids=["one-facet-row", "one-column-facets", "wide-node", "narrow-element", "wide-element",
+        "node-word", "element-decimal", "side-word", "short-header", "header-word", "dim-3",
+        "negative-count"])
+def test_read_mesh_names_the_section_and_line(tmp_path, replace, message):
+    path = _triangle_file(tmp_path, replace)
+    with pytest.raises(ValueError, match=f"^{re.escape(path + ': ' + message)}$"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("replace, line", [
+    ({5: "0 1 99999999999999999999"}, "line 5: element"),
+    ({5: "0 -99999999999999999999 2"}, "line 5: element"),
+    ({6: "0 9223372036854775808 0"}, "line 6: facet"),
+    ({7: "1 2 -9223372036854775809"}, "line 7: facet"),
+], ids=["element", "negative-element", "facet-2^63", "side-below-int64"])
+def test_read_mesh_names_the_line_of_an_overflowing_integer(tmp_path, replace, line):
+    # np.array raised OverflowError, which the CLI does not treat as a config error
+    path = _triangle_file(tmp_path, replace)
+    message = f"{path}: {line} row holds an integer outside the 64-bit range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_mesh(path)
+
+
+def test_read_mesh_keeps_the_64_bit_extremes(tmp_path):
+    # both ends of the range parse; the index is then refused by Mesh, the side is kept
+    path = _triangle_file(tmp_path, {5: "0 1 9223372036854775807"})
+    with pytest.raises(ValueError, match="^element refers to a node index out of range$"):
+        read_mesh(path)
+    path = _triangle_file(tmp_path, {8: "2 0 -9223372036854775808"})
+    assert read_mesh(path).facet_sides.tolist() == [0, 1, -2**63]
 
 
 # -- loop references for the vectorized generators ---------------------------
