@@ -33,6 +33,8 @@ TRACE = "trace"
 FUNCTIONAL = "functional"
 
 _GS_DROP_TOL = 1e-10
+# Boundary modes of the 2D scale-space basis.
+_SCALE_MODES = 33
 # Gauss-Legendre nodes/weights on [0, 1] used for facet integrals of
 # piecewise-linear traces against trigonometric modes.
 _EDGE_T, _EDGE_W = np.polynomial.legendre.leggauss(8)
@@ -187,10 +189,8 @@ class ScaleSpaceBasis:
 
     def h_minus_half_coefficients(self, g: BoundaryFunction) -> np.ndarray:
         """gamma_k = (g, f_k) in the weighted H^{-1/2} inner product."""
-        coeff = self.l2_coefficients(g)
-        if self.mesh.dim == 1:
-            return coeff
-        return coeff * (1.0 + self.kappa**2) ** -0.25
+        # kappa is 0 in 1D, where the factor is exactly 1
+        return self.l2_coefficients(g) * (1.0 + self.kappa**2) ** -0.25
 
     def tail_sq_bound(self, g: BoundaryFunction) -> float:
         """Bound on the squared H_sc contribution of modes beyond n_modes."""
@@ -260,16 +260,15 @@ def boundary_chain(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, float]:
     return chain, s, float(seg.sum())
 
 
-def scale_space_basis(mesh: Mesh, n_modes: int = 33) -> ScaleSpaceBasis:
-    """Construct the fixed H_sc basis for a mesh boundary."""
+def scale_space_basis(mesh: Mesh) -> ScaleSpaceBasis:
+    """Construct the fixed H_sc basis for a mesh boundary: _SCALE_MODES modes
+    in 2D, the two endpoint indicators in 1D."""
     chain, s, perimeter = boundary_chain(mesh)
     if mesh.dim == 1:
         kappa = np.zeros(2)
         weights = np.array([1.0, 0.25])
         return ScaleSpaceBasis(mesh, chain, s, perimeter, kappa, weights)
-    if n_modes < 1:
-        raise ValueError("need at least one boundary mode")
-    k = np.arange(1, n_modes + 1)
+    k = np.arange(1, _SCALE_MODES + 1)
     j = k // 2  # frequency index: 0, 1, 1, 2, 2, ...
     kappa = 2.0 * np.pi * j / perimeter
     return ScaleSpaceBasis(mesh, chain, s, perimeter, kappa, (1.0 * k) ** -2.0)
@@ -292,47 +291,45 @@ class CameronMartinSystem:
     """Energy-orthonormal image of eigenmode loads under the discrete solve.
 
     Candidates T_h f_k (f_k the nodal interpolants of exact eigenmodes) are
-    orthonormalized in the energy inner product a(u, v) = u^T A v with
-    two-pass Gram-Schmidt; numerically dependent candidates (relative norm
-    below 1e-10) are dropped.  Against this system a sampled path expands
-    with coefficients read off its own load, since a(X_h, e_k) = b^T e_k.
+    orthonormalized in the energy inner product a(u, v) = u^T A v, in basis
+    order; numerically dependent candidates (relative norm below 1e-10 after
+    two classical Gram-Schmidt passes against the kept vectors) are dropped,
+    so the vectors are those of the first m independent candidates.  The
+    candidates come in blocks, each as many as vectors are still missing,
+    evaluated, loaded and solved at once.  Against this system a sampled
+    path expands with coefficients read off its own load, since
+    a(X_h, e_k) = b^T e_k.
     """
 
     def __init__(self, op: DiscreteSolutionOperator, basis: EigenBasis, m: int):
-        n_free = op.system.n_free
-        if m < 0 or m > n_free:
-            raise ValueError(f"truncation {m} outside [0, {n_free}]")
+        if m < 0 or m > op.n_free:
+            raise ValueError(f"truncation {m} outside [0, {op.n_free}]")
         self.op = op
-        pts = op.mesh.nodes[:, 0] if op.mesh.dim == 1 else op.mesh.nodes
-        A = op.system.A
-        vectors = []
-        k = 0
-        while len(vectors) < m:
+        self.vectors = np.empty((op.n_free, m))
+        kept = k = 0
+        while kept < m:
             if k >= basis.count:
                 raise RuntimeError(
                     f"eigenbasis exhausted after {basis.count} candidates while "
                     f"building {m} energy-orthonormal vectors"
                 )
-            f_nodal = basis.evaluate(pts, k, k + 1)[0]
-            v = op.system.solve_free((op.M @ f_nodal)[op.free])
-            norm0 = np.sqrt(v @ (A @ v))
-            for _ in range(2):  # reorthogonalize to keep the Gram matrix at identity
-                for e in vectors:
-                    v = v - (e @ (A @ v)) * e
-            norm1 = np.sqrt(max(v @ (A @ v), 0.0))
-            if norm1 > _GS_DROP_TOL * max(norm0, 1e-300):  # a NaN norm fails: the vector is dropped
-                vectors.append(v / norm1)
-            k += 1
-        self.vectors = np.column_stack(vectors) if vectors else np.zeros((n_free, 0))
+            k1 = min(k + m - kept, basis.count)
+            block = op.solve_free((op.M @ basis.evaluate(op.mesh.nodes, k, k1).T)[op.free])
+            for v in block.T:
+                norm0 = np.sqrt(v @ (op.A @ v))
+                kept_vectors = self.vectors[:, :kept]
+                for _ in range(2):  # reorthogonalize to keep the Gram matrix at identity
+                    v = v - kept_vectors @ (kept_vectors.T @ (op.A @ v))
+                norm1 = np.sqrt(max(v @ (op.A @ v), 0.0))
+                if norm1 > _GS_DROP_TOL * max(norm0, 1e-300):  # a NaN norm fails: the vector is dropped
+                    self.vectors[:, kept] = v / norm1
+                    kept += 1
+            k = k1
 
     def coefficients(self, load: LoadSample, m: int | None = None) -> np.ndarray:
-        """Path coefficients against the system: e_k^T b on the free dofs."""
-        sl = slice(None) if m is None else slice(0, m)
-        return self.vectors[:, sl].T @ load.b[self.op.free]
+        """Path coefficients against the first m vectors (all when m is None):
+        e_k^T b on the free dofs."""
+        return self.vectors[:, :m].T @ load.b[self.op.free]
 
     def partial_sum(self, load: LoadSample, m: int | None = None) -> FemFunction:
-        coeff = self.coefficients(load, m)
-        sl = slice(None) if m is None else slice(0, m)
-        full = np.zeros(self.op.mesh.n_nodes)
-        full[self.op.free] = self.vectors[:, sl] @ coeff
-        return FemFunction(self.op.mesh, full)
+        return FemFunction(self.op.mesh, self.op.extend(self.vectors[:, :m] @ self.coefficients(load, m)))

@@ -34,7 +34,6 @@ from .spectral import (
     RectangleEigenBasis,
     TruncatedValue,
     eigenpairs,
-    sobolev_resolvent_weight,
     spectral_tail_bound,
 )
 
@@ -114,8 +113,9 @@ def _mode_factors(basis: EigenBasis) -> tuple[tuple[IntervalEigenBasis, np.ndarr
     return ((basis, np.arange(basis.count)),)
 
 
-class _LevelContext:
-    """Factorization and quadrature data reused across all mode loads.
+class _LevelContext(FactorizedSystem):
+    """A level's factorized system, with the quadrature data reused across
+    all mode loads.
 
     Quantities at the quadrature points are formed one chunk of `_CHUNK`
     elements at a time, so no (modes x quadrature points) array is built.
@@ -128,9 +128,7 @@ class _LevelContext:
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
-        self.mesh = mesh
-        self.system = FactorizedSystem(mesh, bc, lam)
-        self.M = self.system.M
+        super().__init__(mesh, bc, lam)
         points, self.qweights, self.bary = quadrature_points(mesh)
         # per axis: distinct quadrature coordinates, and each point's index
         self._coords = []
@@ -235,7 +233,6 @@ class _LevelContext:
         width = k1 - k0
         if load_rule == "interpolation":
             sols = np.empty((self.mesh.n_nodes, width))
-            pts = self.mesh.nodes[:, 0] if self.mesh.dim == 1 else self.mesh.nodes
         elif load_rule == "quadrature":
             sols = self.quadrature_loads(basis, k0, k1)
         else:
@@ -243,10 +240,10 @@ class _LevelContext:
         for c0 in range(0, width, _SOLVE_CHUNK):
             cols = slice(c0, min(c0 + _SOLVE_CHUNK, width))
             if load_rule == "interpolation":
-                load = self.M @ basis.evaluate(pts, k0 + cols.start, k0 + cols.stop).T
+                load = self.M @ basis.evaluate(self.mesh.nodes, k0 + cols.start, k0 + cols.stop).T
             else:
                 load = sols[:, cols]
-            sols[:, cols] = self.system.solve(load)
+            sols[:, cols] = self.solve(load)
             del load  # freed before the next chunk's loads are evaluated
         return sols
 
@@ -261,15 +258,22 @@ class _LevelContext:
             errors[s0 - k0:s1 - k0] = self.l2_errors(basis, lam, s0, s1, self.solutions(basis, s0, s1, load_rule))
         return errors
 
-    def l2_errors(self, basis: EigenBasis, lam: float, k0: int, k1: int, sols: np.ndarray) -> np.ndarray:
+    def l2_errors(self, basis: EigenBasis, lam: float, k0: int, k1: int, sols: np.ndarray,
+                  deriv: int | None = None) -> np.ndarray:
         """||T e_k - u_k||_L2^2 for modes k0..k1 and P1 functions u_k with
-        coefficients sols[:, k - k0], by element quadrature (_error_sums).
+        coefficients sols[:, k - k0], by element quadrature (_error_sums);
+        with deriv = d, the same for the partial derivatives along axis d.
         """
-        columns = self._mode_columns(basis, k0, k1)
+        columns = self._mode_columns(basis, k0, k1, deriv)
         # the exact solve T e_k = e_k / (mu_k + lam), applied to one 1D factor
         columns[0] /= basis.mu[k0:k1] + lam
-        # every element's interpolant at its points is bary times its nodal values
-        return self._error_sums(columns, sols, np.broadcast_to(self.bary, (self.mesh.n_elements, *self.bary.shape)))
+        if deriv is None:
+            # every element's interpolant at its points is bary times its nodal values
+            fem_op = np.broadcast_to(self.bary, (self.mesh.n_elements, *self.bary.shape))
+        else:
+            # a P1 function's partial derivative is constant on each element
+            fem_op = element_gradients(self.mesh)[:, None, :, deriv]
+        return self._error_sums(columns, sols, fem_op)
 
 
 def deterministic_fem_error(
@@ -345,8 +349,7 @@ def deterministic_fem_error(
         prev, cur = checkpoints[-2][1], checkpoints[-1][1]
         increments = list(np.abs(cur - prev) / np.maximum(cur, 1e-300))
 
-    tail_weight = sobolev_resolvent_weight(r, lam, p=0)
-    tail = (2.0 / lam) ** 2 * spectral_tail_bound(domain, bc, float(basis.mu[count - 1]), tail_weight)
+    tail = (2.0 / lam) ** 2 * spectral_tail_bound(domain, bc, float(basis.mu[count - 1]), r, lam, 0)
     levels = [LevelError(mesh.h, float(err), tail) for mesh, err in zip(meshes, totals)]
     rate = fit_rate([(lv.h, lv.error_sq) for lv in levels]) if len(levels) >= 3 else RateFit(
         float("nan"), float("nan")
@@ -379,9 +382,7 @@ def truncation_error_closed_form(basis: EigenBasis, lam: float, r: float, m: int
     if m > basis.count:
         raise ValueError(f"truncation {m} exceeds basis size {basis.count}")
     w = (1.0 + basis.mu[m:]) ** (-r) * (basis.mu[m:] + lam) ** -2.0
-    tail = spectral_tail_bound(
-        basis.domain, basis.bc, float(basis.mu[-1]), sobolev_resolvent_weight(r, lam, p=2)
-    )
+    tail = spectral_tail_bound(basis.domain, basis.bc, float(basis.mu[-1]), r, lam, 2)
     return TruncatedValue(float(np.sum(w)), float(tail))
 
 
@@ -395,9 +396,7 @@ def l2_realization_diagnostic(basis: EigenBasis, lam: float) -> tuple[np.ndarray
     """
     terms = (basis.mu + lam) ** -2.0
     partial = np.cumsum(terms)
-    tail = spectral_tail_bound(
-        basis.domain, basis.bc, float(basis.mu[-1]), sobolev_resolvent_weight(0.0, lam, p=2)
-    )
+    tail = spectral_tail_bound(basis.domain, basis.bc, float(basis.mu[-1]), 0.0, lam, 2)
     return partial, float(tail)
 
 
@@ -462,9 +461,7 @@ def hs_embedding_bound(domain: ModelDomain, bc: BoundaryCondition, r: float,
     """sum_k (1 + mu_k)^-(r+1), the squared Hilbert-Schmidt embedding factor."""
     basis = eigenpairs(domain, bc, count)
     value = float(np.sum((1.0 + basis.mu) ** (-(r + 1.0))))
-    tail = spectral_tail_bound(
-        domain, bc, float(basis.mu[-1]), sobolev_resolvent_weight(r + 1.0, 1.0, p=0)
-    )
+    tail = spectral_tail_bound(domain, bc, float(basis.mu[-1]), r + 1.0, 1.0, 0)
     return TruncatedValue(value, float(tail))
 
 
@@ -487,13 +484,9 @@ def h1_error_sup_estimate(
     """
     basis = eigenpairs(domain, bc, n_loads)
     ctx = _LevelContext(mesh, bc, lam)
-    G = element_gradients(mesh)
     sols = ctx.solutions(basis, 0, n_loads, load_rule="quadrature")  # (n_nodes, B)
     # ||u^f - u^f_h||_H1^2 per load: the L2 part, then each partial derivative's
     errors = ctx.l2_errors(basis, lam, 0, n_loads, sols)
     for d in range(mesh.dim):
-        columns = ctx._mode_columns(basis, 0, n_loads, deriv=d)
-        columns[0] /= basis.mu[:n_loads] + lam
-        # the FEM gradient is constant on each element
-        errors += ctx._error_sums(columns, sols, G[:, None, :, d])
+        errors += ctx.l2_errors(basis, lam, 0, n_loads, sols, deriv=d)
     return float(np.max(errors))

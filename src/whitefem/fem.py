@@ -294,15 +294,15 @@ def nested_dissection(mesh: Mesh, graph: sp.sparray) -> np.ndarray:
 
 
 class FactorizedSystem:
-    """Shared, reusable solver for A c = b on the free degrees of freedom.
+    """The one solver object of a mesh: A c = b on the free degrees of freedom.
 
     The single owner of the discrete operators: K, M and (Robin only) R are
     assembled here once, with 32-bit indices, and A_full = K + lam M
     (+ beta R) on the full node set is built from them.  For Dirichlet
-    problems the boundary rows/columns are eliminated and the solution is
-    re-embedded with exact zeros on the boundary.  A is the one sorted CSR
-    copy of the reduced matrix (A_full itself when every node is free); it
-    serves the residuals and the factorization.  `order` is the
+    problems the boundary rows/columns are eliminated, and `extend` puts a
+    solution back on all nodes with exact zeros on the boundary.  A is the
+    one sorted CSR copy of the reduced matrix (A_full itself when every node
+    is free); it serves the residuals and the factorization.  `order` is the
     nested-dissection ordering of all nodes (from the coordinates and M's
     pattern), the one the load factor also uses.  A is factored once, on the
     first solve, as the symmetric positive definite matrix it is, under that
@@ -311,7 +311,8 @@ class FactorizedSystem:
     backsolve reuses that factor.  Because A is not factored here, a caller
     can build M's load factor first, and the transient copies of that
     factorization are freed before A's factor exists.  The operators and the
-    ordering do not change after construction.
+    ordering do not change after construction.  The sampling operator and
+    the mode sums' level context are subclasses, not wrappers.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
@@ -388,18 +389,22 @@ class FactorizedSystem:
             x[order, start:stop] = self._lu.solve(block)
         return x.reshape(b_free.shape)
 
+    def extend(self, x_free: np.ndarray) -> np.ndarray:
+        """Rows on the free nodes (a vector or columns) extended to all nodes
+        by zeros on the Dirichlet nodes; x_free itself when every node is free."""
+        if self.n_free == self.mesh.n_nodes:
+            return x_free
+        x = np.zeros((self.mesh.n_nodes, *x_free.shape[1:]))
+        x[self.free] = x_free
+        return x
+
     def solve(self, load: np.ndarray) -> np.ndarray:
         """Full-length solution coefficients for a full-length dual load."""
         load = np.asarray(load, dtype=np.float64)
         if load.shape[0] != self.mesh.n_nodes:
             raise ValueError("load vector length does not match node count")
-        if self.n_free == self.mesh.n_nodes:
-            return self.solve_free(load)
-        c_free = self.solve_free(load[self.free])
-        # allocated after the solve, whose working arrays are then freed
-        c = np.zeros(load.shape)
-        c[self.free] = c_free
-        return c
+        # extended after the solve, whose working arrays are then freed
+        return self.extend(self.solve_free(load if self.n_free == self.mesh.n_nodes else load[self.free]))
 
     @cached_property
     def _norm_inf(self) -> float:

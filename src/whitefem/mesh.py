@@ -9,6 +9,7 @@ supported through the plain-text file format of :func:`read_mesh`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 
@@ -348,6 +349,12 @@ def _refine_2d(mesh: Mesh) -> Mesh:
 # Header "dim n_nodes n_elements n_facets", then one line per node, element
 # and facet.  Facet lines end with the integer side tag.  Coordinates are
 # printed with 17 significant digits so read(write(mesh)) is bit-identical.
+# The file is ASCII, and its numbers are signed decimals (coordinates with an
+# exponent, inf or nan too); int and float alone would take "1_0" as 10.
+_TOKEN = {
+    int: re.compile(r"[-+]?[0-9]+"),
+    float: re.compile(r"[-+]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|inf|nan)", re.IGNORECASE),
+}
 
 
 def write_mesh(mesh: Mesh, path) -> None:
@@ -366,17 +373,23 @@ def read_mesh(path) -> Mesh:
     """The mesh a file of the format above describes.
 
     A malformed file raises ValueError naming the path, and the line for a
-    bad header or row: a row of the wrong width, a token that is not a
-    number, an index outside the 64-bit range.  The mesh itself is then
-    checked by Mesh.
+    bad header or row: a byte that is not ASCII, a row of the wrong width, a
+    token that is not a number of the format's forms, an index outside the
+    64-bit range.  The mesh itself is then checked by Mesh.
     """
-    with open(path, encoding="ascii") as f:
-        rows = [(number, line.split()) for number, line in enumerate(f, 1) if line.strip()]
+    # a byte outside ASCII is read as one lone surrogate, U+DC80 to U+DCFF
+    with open(path, encoding="ascii", errors="surrogateescape") as f:
+        lines = list(enumerate(f, 1))
+    for number, line in lines:
+        if not line.isascii():
+            byte = next(ord(c) for c in line if not c.isascii()) - 0xDC00
+            raise ValueError(f"{path}: line {number}: byte 0x{byte:02x} is not ASCII")
+    rows = [(number, line.split()) for number, line in lines if line.strip()]
     if not rows:
         raise ValueError(f"{path}: empty mesh file")
     line, header = rows[0]
     try:  # a token that is not an integer, or not four tokens
-        dim, n_nodes, n_elements, n_facets = (int(t) for t in header)
+        dim, n_nodes, n_elements, n_facets = (_parse(t, int) for t in header)
     except ValueError:
         raise ValueError(f"{path}: line {line}: header must be 'dim n_nodes n_elements n_facets'") from None
     if dim not in (1, 2) or min(n_nodes, n_elements, n_facets) < 0:
@@ -399,7 +412,7 @@ def _read_section(path, name: str, rows: list, width: int, kind) -> np.ndarray:
         if len(tokens) != width:
             raise ValueError(f"{path}: line {line}: {name} row has {len(tokens)} values, expected {width}")
         try:
-            values.append([kind(t) for t in tokens])
+            values.append([_parse(t, kind) for t in tokens])
         except ValueError:
             raise ValueError(f"{path}: line {line}: {name} row holds a value that is not "
                              f"{'a number' if kind is float else 'an integer'}") from None
@@ -408,3 +421,10 @@ def _read_section(path, name: str, rows: list, width: int, kind) -> np.ndarray:
     except OverflowError:
         line = next(line for (line, _), row in zip(rows, values) if not all(-2**63 <= v < 2**63 for v in row))
         raise ValueError(f"{path}: line {line}: {name} row holds an integer outside the 64-bit range") from None
+
+
+def _parse(token: str, kind):
+    """token read by kind, int or float, if it has that kind's form in _TOKEN."""
+    if not _TOKEN[kind].fullmatch(token):
+        raise ValueError(token)
+    return kind(token)

@@ -38,33 +38,25 @@ from .noise import GaussianStream, LoadSample, LoadSampler
 _BATCH = 16
 
 
-class DiscreteSolutionOperator:
-    """Factorized discrete solve plus the load sampler that feeds it."""
+class DiscreteSolutionOperator(FactorizedSystem):
+    """The mesh's factorized solve (FactorizedSystem) plus the load sampler
+    that feeds it and the probe solves of point sets."""
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
-        self.mesh = mesh
-        self.bc = bc
-        self.lam = float(lam)
-        self.system = FactorizedSystem(mesh, bc, lam)
-        self.K, self.M, self.R = self.system.K, self.system.M, self.system.R
+        super().__init__(mesh, bc, lam)
         # The system factors A on its first solve, the probe check below.  M
         # is factored before that, so the transient copies of M's
         # factorization are freed before A's factor takes its memory.
-        self.sampler = LoadSampler(mesh, self.M, self.system.order)
-        self.M_free = self.system.restrict(self.M).tocsr()
+        self.sampler = LoadSampler(mesh, self.M, self.order)
+        self.M_free = self.restrict(self.M).tocsr()
         self._last_probe = None  # [key, W, G or None] of the last point set
         self._check_factorization()
 
     def _check_factorization(self):
         """Solve one random load and bound its backward error, which, unlike
         ||A c - b|| / ||b||, does not grow as lambda or h gets small."""
-        probe = GaussianStream(0, 0).normals(self.system.n_free)
-        sol = self.system.solve_free(probe)
-        self.system.check_backward_error(sol, probe, what="factorization probe")
-
-    @property
-    def free(self) -> np.ndarray:
-        return self.system.free
+        probe = GaussianStream(0, 0).normals(self.n_free)
+        self.check_backward_error(self.solve_free(probe), probe, what="factorization probe")
 
     def probe(self, points) -> np.ndarray:
         """W = A^{-1} P^T (n_free, p) for a point set, from one block solve.
@@ -80,7 +72,7 @@ class DiscreteSolutionOperator:
         if last is not None and last[0] == key:
             return last[1]
         P = point_vectors(self.mesh, pts)[self.free]
-        W = self.system.solve_free(P)
+        W = self.solve_free(P)
         W.setflags(write=False)
         self._last_probe = [key, W, None]
         return W
@@ -95,15 +87,13 @@ class DiscreteSolutionOperator:
         W_free = self.probe(points)
         last = self._last_probe
         if last[2] is None:
-            W = np.zeros((self.mesh.n_nodes, W_free.shape[1]))
-            W[self.free] = W_free
-            G = np.asfortranarray(self.sampler.chol.T @ W)
+            G = np.asfortranarray(self.sampler.chol.T @ self.extend(W_free))
             G.setflags(write=False)
             last[2] = G
         return last[2]
 
     def path_from_load(self, load: LoadSample) -> FemFunction:
-        return FemFunction(self.mesh, self.system.solve(load.b))
+        return FemFunction(self.mesh, self.solve(load.b))
 
 
 def sample_path_with_load(op: DiscreteSolutionOperator, stream: GaussianStream):

@@ -256,22 +256,27 @@ def eigenpairs(domain: ModelDomain, bc: BoundaryCondition, count: int) -> EigenB
 
 
 def spectral_tail_bound(
-    domain: ModelDomain, bc: BoundaryCondition, mu_star: float, weight: Callable[[np.ndarray], np.ndarray]
+    domain: ModelDomain, bc: BoundaryCondition, mu_star: float, r: float, lam: float, p: int
 ) -> float:
-    """Rigorous upper bound for sum of weight(mu_k) over all modes with
-    mu_k >= mu_star.
+    """Rigorous upper bound for the sum of w(mu_k) = (1 + mu_k)^-r (mu_k + lam)^-p
+    over all modes with mu_k >= mu_star.
 
-    `weight` must be nonincreasing in mu.  The bound compares the eigenvalue
-    lattice against integrals over the frequency plane (quarter plane plus
-    the two axis families in 2D), with conservative half-cell shifts that
-    remain valid for the Robin frequency branches.  Weights that decay too
-    slowly for the eigenvalue density (attribute `decay`, the power of mu)
-    give an infinite bound: the series genuinely diverges.
+    The bound compares the eigenvalue lattice against integrals over the
+    frequency plane (quarter plane plus the two axis families in 2D), with
+    conservative half-cell shifts that remain valid for the Robin frequency
+    branches; w is nonincreasing for r, p >= 0.  When w decays too slowly for
+    the eigenvalue density (r + p, the power of mu, at most dim / 2) the bound
+    is infinite: the series genuinely diverges.
     """
-    decay = getattr(weight, "decay", None)
-    if decay is not None and decay <= domain.dim / 2.0:
+    if r + p <= domain.dim / 2.0:
         return float("inf")
     rho = np.sqrt(max(mu_star, 0.0))
+
+    def weight(mu):
+        out = (1.0 + mu) ** -r
+        if p:
+            out = out * (mu + lam) ** -p
+        return out
 
     def f_line(x):
         return weight(x * x)
@@ -300,19 +305,6 @@ def spectral_tail_bound(
     return float(interior + axes + 3.0 * weight(r0 * r0))
 
 
-def sobolev_resolvent_weight(r: float, lam: float, p: int = 2) -> Callable[[np.ndarray], np.ndarray]:
-    """weight(mu) = (1 + mu)^-r (mu + lam)^-p."""
-
-    def w(mu):
-        out = (1.0 + mu) ** -r
-        if p:
-            out = out * (mu + lam) ** -p
-        return out
-
-    w.decay = r + p
-    return w
-
-
 # -- covariance ----------------------------------------------------------------
 
 
@@ -327,9 +319,7 @@ def covariance_function(x, y, lam: float, basis: EigenBasis) -> TruncatedValue:
     ex = basis.evaluate(x).ravel()
     ey = ex if _same_point(x, y, basis) else basis.evaluate(y).ravel()
     value = float(np.sum(ex * ey / (basis.mu + lam) ** 2))
-    tail = basis.sup_sq_bound() * spectral_tail_bound(
-        basis.domain, basis.bc, float(basis.mu[-1]), sobolev_resolvent_weight(0.0, lam, p=2)
-    )
+    tail = basis.sup_sq_bound() * spectral_tail_bound(basis.domain, basis.bc, float(basis.mu[-1]), 0.0, lam, 2)
     return TruncatedValue(value, float(tail))
 
 

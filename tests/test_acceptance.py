@@ -191,7 +191,7 @@ def test_criterion_07_boundary_conditions_per_sample():
 def test_criterion_08_trace_series_identity():
     mesh = build_rectangle_mesh(PI, PI, 8, 8)  # 81 nodes
     op = DiscreteSolutionOperator(mesh, neumann(), 1.0)
-    n_free = op.system.n_free
+    n_free = op.n_free
     basis = eigenpairs(Rectangle(PI, PI), neumann(), n_free + 60)
     system = CameronMartinSystem(op, basis, n_free)
     worst = 0.0

@@ -186,7 +186,7 @@ class TestScaleSpace:
 
     def test_weights_strictly_decreasing(self):
         m = build_rectangle_mesh(1.0, 1.0, 3, 3)
-        basis = scale_space_basis(m, n_modes=15)
+        basis = scale_space_basis(m)
         assert (np.diff(basis.weights) < 0).all()
 
 
@@ -194,8 +194,8 @@ class TestScaleSpace:
 def setup():
     mesh = build_rectangle_mesh(np.pi, np.pi, 6, 6)  # 49 nodes
     op = DiscreteSolutionOperator(mesh, neumann(), 1.0)
-    basis = eigenpairs(Rectangle(np.pi, np.pi), neumann(), op.system.n_free + 40)
-    system = CameronMartinSystem(op, basis, op.system.n_free)
+    basis = eigenpairs(Rectangle(np.pi, np.pi), neumann(), op.n_free + 40)
+    system = CameronMartinSystem(op, basis, op.n_free)
     return mesh, op, basis, system
 
 
@@ -207,7 +207,7 @@ class TestMeasurableTraceSeries:
 
     def test_full_truncation_reproduces_nodal_trace(self, setup):
         mesh, op, basis, system = setup
-        n_free = op.system.n_free
+        n_free = op.n_free
         for sid in range(5):
             load = op.sampler.sample(GaussianStream(42, sid))
             path = op.path_from_load(load)
@@ -223,9 +223,9 @@ class TestMeasurableTraceSeries:
         mesh, op, basis, system = setup
         load = op.sampler.sample(GaussianStream(5, 0))
         path = op.path_from_load(load)
-        A = op.system.A_full
+        A = op.A_full
         dists = []
-        for m in range(0, op.system.n_free + 1, 6):
+        for m in range(0, op.n_free + 1, 6):
             part = system.partial_sum(load, m)
             diff = path.coefficients - part.coefficients
             dists.append(diff @ (A @ diff))
@@ -234,14 +234,14 @@ class TestMeasurableTraceSeries:
     def test_gram_matrix_is_identity(self, setup):
         mesh, op, basis, system = setup
         E = system.vectors
-        A = op.system.A
+        A = op.A
         gram = E.T @ (A @ E)
         assert np.abs(gram - np.eye(E.shape[1])).max() < 1e-10
 
     def test_truncation_beyond_dimension_rejected(self, setup):
         mesh, op, basis, system = setup
         with pytest.raises(ValueError):
-            CameronMartinSystem(op, basis, op.system.n_free + 1)
+            CameronMartinSystem(op, basis, op.n_free + 1)
 
     def test_exhausted_eigenbasis_is_refused(self, setup):
         mesh, op, basis, system = setup
@@ -252,10 +252,54 @@ class TestMeasurableTraceSeries:
     def test_dirichlet_series_trace_is_zero(self):
         mesh = build_rectangle_mesh(1.0, 1.0, 4, 4)
         op = DiscreteSolutionOperator(mesh, dirichlet(), 1.0)
-        basis = eigenpairs(Rectangle(1.0, 1.0), dirichlet(), op.system.n_free + 30)
+        basis = eigenpairs(Rectangle(1.0, 1.0), dirichlet(), op.n_free + 30)
         system = CameronMartinSystem(op, basis, 4)
         g = trace(system.partial_sum(op.sampler.sample(GaussianStream(0, 0)), 4))
         assert np.array_equal(g.values, np.zeros(g.values.size))
+
+
+def _one_candidate_at_a_time(op, basis, m):
+    """Reference construction: each candidate solved on its own, then two
+    passes of modified Gram-Schmidt against the kept vectors one at a time.
+    Returns the vectors and the indices of the kept candidates."""
+    vectors, kept = [], []
+    for k in range(basis.count):
+        if len(vectors) == m:
+            break
+        v = op.solve_free((op.M @ basis.evaluate(op.mesh.nodes, k, k + 1)[0])[op.free])
+        norm0 = np.sqrt(v @ (op.A @ v))
+        for _ in range(2):
+            for e in vectors:
+                v = v - (e @ (op.A @ v)) * e
+        norm1 = np.sqrt(max(v @ (op.A @ v), 0.0))
+        if norm1 > 1e-10 * norm0:
+            vectors.append(v / norm1)
+            kept.append(k)
+    return np.column_stack(vectors), kept
+
+
+@pytest.mark.parametrize("bc, modes", [(neumann(), neumann()), (dirichlet(), neumann()), (robin(0.7), robin(0.7))],
+                         ids=["neumann", "dirichlet", "robin"])
+def test_block_system_keeps_the_first_independent_candidates(bc, modes):
+    # On 7 nodes per axis the modes past index 6 along an axis interpolate to
+    # combinations of lower ones.  The Dirichlet operator takes cosine modes:
+    # 6 of them per axis on its 5 interior nodes, so some are dropped before
+    # the system is full (its own sine modes vanish at the nodes first).
+    mesh = build_rectangle_mesh(1.0, 1.0, 6, 6)
+    op = DiscreteSolutionOperator(mesh, bc, 1.0)
+    basis = eigenpairs(Rectangle(1.0, 1.0), modes, op.n_free + 40)
+    want, kept = _one_candidate_at_a_time(op, basis, op.n_free)
+    assert kept[-1] >= op.n_free  # candidates were dropped
+    widths, solve_free = [], op.solve_free
+    op.solve_free = lambda b: widths.append(b.shape[1]) or solve_free(b)
+    got = CameronMartinSystem(op, basis, op.n_free).vectors
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+    # each block is as wide as the count of vectors still missing
+    blocks = [op.n_free]
+    while sum(blocks) <= kept[-1]:
+        blocks.append(op.n_free - sum(k < sum(blocks) for k in kept))
+    assert widths == blocks
 
 
 class TestConsistencyAndExports:
@@ -276,6 +320,6 @@ class TestConsistencyAndExports:
         op = DiscreteSolutionOperator(m, neumann(), 1.0)
         f = np.cos(m.nodes[:, 0]) * np.cos(2.0 * m.nodes[:, 1])
         load = op.M @ f
-        u = FemFunction(m, op.system.solve(load))
+        u = FemFunction(m, op.solve(load))
         d = weak_conormal_derivative(u, load, 1.0, K=op.K, M=op.M)
         assert np.abs(d.values).max() < 1e-12

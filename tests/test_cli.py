@@ -326,7 +326,7 @@ def test_unread_key_is_config_error(tmp_path, capsys, experiment, config, fld):
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("contents", [
+@pytest.mark.parametrize("contents, says", [(contents, None) for contents in [
     # clockwise triangle: mesh validation fails
     "2 3 1 3\n0 0\n1 0\n0 1\n0 2 1\n0 1 0\n1 2 1\n2 0 2\n",
     # header promises more lines than the file has
@@ -353,21 +353,27 @@ def test_unread_key_is_config_error(tmp_path, capsys, experiment, config, fld):
     "2 3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 0\n1 1\n2 2\n",
     # the last facet left out, and not counted
     "2 3 1 2\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n",
+]] + [
+    # these gave the codec's text with no line, and a side tag of 10 (exit 0)
+    ("2 3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n2 0 \u00e9\n", "line 8: byte 0xc3 is not ASCII"),
+    ("2 3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 0\n1 2 1\n2 0 1_0\n",
+     "line 8: facet row holds a value that is not an integer"),
 ], ids=["clockwise", "truncated", "nan-node", "duplicate-facet", "missing", "empty", "short-header",
         "header-word", "dim-3", "negative-count", "extra-line", "no-elements", "overflowing-index",
         "index-out-of-range", "decimal-index", "one-coordinate-node", "one-index-facet",
-        "one-column-facets", "missing-facet"])
-def test_bad_mesh_file_is_config_error(tmp_path, capsys, contents):
+        "one-column-facets", "missing-facet", "non-ascii-byte", "underscore-side"])
+def test_bad_mesh_file_is_config_error(tmp_path, capsys, contents, says):
     # run in process: an exception that escaped main would fail the test, as
     # it would end the command with a traceback and exit 1
     bad_mesh = tmp_path / "bad_mesh.txt"
     if contents is not None:
-        bad_mesh.write_text(contents)
+        bad_mesh.write_text(contents, encoding="utf-8")
     config = f"mesh_file = {bad_mesh}\nbc = neumann\nlambda = 1.0\nlevels = 1\nsamples = 10\n"
     code, outdir = run_cli(tmp_path, "sample", config)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: field 'mesh_file': ")
+    assert says is None or f"{bad_mesh}: {says}" in err
     assert "Traceback" not in err
     assert not outdir.exists()
 

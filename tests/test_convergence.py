@@ -16,7 +16,7 @@ from whitefem.convergence import (
     truncation_error_closed_form,
 )
 import whitefem.convergence as convergence
-from whitefem.fem import _SOLVE_CHUNK, dirichlet, element_gradients, neumann, quadrature_points, robin
+from whitefem.fem import _SOLVE_CHUNK, FactorizedSystem, dirichlet, element_gradients, neumann, quadrature_points, robin
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
 from whitefem.noise import GaussianStream
 from whitefem.sampling import DiscreteSolutionOperator
@@ -73,8 +73,10 @@ class TestDeterministicFemError:
         assert (errs <= raw + 1e-15).all()
 
     def test_mass_comes_from_the_system(self):
+        # a level's context is its mesh's one FactorizedSystem, not a wrapper of one
         ctx = _LevelContext(build_rectangle_mesh(1.0, 1.0, 4, 4), neumann(), 1.0)
-        assert ctx.M is ctx.system.M
+        assert isinstance(ctx, FactorizedSystem)
+        assert not hasattr(ctx, "system")
 
     def test_exact_values_at_quadrature_give_zero(self):
         # degenerate check bypassing the P1 representation entirely
@@ -135,12 +137,12 @@ def _unchunked_errors(ctx, basis, lam, k0, k1, load_rule=None, sols=None):
     exact = basis.evaluate(_flat_points(ctx.mesh), k0, k1).reshape(k1 - k0, m_el, q)
     pts = ctx.mesh.nodes[:, 0] if ctx.mesh.dim == 1 else ctx.mesh.nodes
     if load_rule == "interpolation":
-        sols = ctx.system.solve(ctx.M @ basis.evaluate(pts, k0, k1).T)
+        sols = ctx.solve(ctx.M @ basis.evaluate(pts, k0, k1).T)
     elif load_rule == "quadrature":
         loads = np.zeros((ctx.mesh.n_nodes, k1 - k0))
         local = np.einsum("qk,mq,Bmq->mkB", ctx.bary, ctx.qweights, exact)
         np.add.at(loads, ctx.mesh.elements, local)
-        sols = ctx.system.solve(loads)
+        sols = ctx.solve(loads)
     fem_q = np.einsum("qk,mkB->mqB", ctx.bary, sols[ctx.mesh.elements])
     exact_q = np.moveaxis(exact / (basis.mu[k0:k1, None, None] + lam), 0, -1)
     diff = exact_q - fem_q
@@ -208,7 +210,7 @@ class TestStreamedSolutions:
             else:
                 loads = ctx.quadrature_loads(basis, k0, k1)
             got = ctx.solutions(basis, k0, k1, load_rule)
-            want = ctx.system.solve(loads)
+            want = ctx.solve(loads)
             assert got.flags.c_contiguous and got.shape == (mesh.n_nodes, k1 - k0)
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -437,7 +439,7 @@ class TestL2Diagnostic:
         op = DiscreteSolutionOperator(mesh, neumann(), 1.0)
         n = 2000
         B = op.sampler.sample_batch(GaussianStream(7, 0), n)
-        C = op.system.solve_free(B[op.free])
+        C = op.solve_free(B[op.free])
         vals = np.einsum("ij,ij->j", C, op.M_free @ C)
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - series) <= 0.05 * series + 4.0 * se
@@ -556,7 +558,7 @@ class TestMcDeterministicAgreement:
         weights = (1.0 + basis.mu) ** -r
 
         # deterministic: c[j, k] = delta_jk/(mu_k+lam) - <T_h e_k, e_j>
-        sols = ctx.system.solve(loads[:, :M])  # (n_nodes, M)
+        sols = ctx.solve(loads[:, :M])  # (n_nodes, M)
         fem_q = np.einsum("qk,mkB->mqB", ctx.bary, sols[mesh.elements]).reshape(-1, M)
         pair = modes_q @ (w_q[:, None] * fem_q)  # (J, M)
         c = -pair
@@ -567,7 +569,7 @@ class TestMcDeterministicAgreement:
         vals = np.empty(n)
         for i in range(n):
             xi = stream.normals(M)
-            X = ctx.system.solve(loads[:, :M] @ xi)
+            X = ctx.solve(loads[:, :M] @ xi)
             xq = np.einsum("qk,mk->mq", ctx.bary, X[mesh.elements]).ravel()
             coeff = modes_q @ (w_q * xq)  # <X_h, e_j> for j < J
             delta = -coeff

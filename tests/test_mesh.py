@@ -315,7 +315,7 @@ def _triangle_file(tmp_path, replace: dict[int, str]) -> str:
     1) replaced; returns its path."""
     lines = [replace.get(k, line) for k, line in enumerate(TRIANGLE_FILE, 1)]
     path = tmp_path / "mesh.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -353,6 +353,22 @@ def test_read_mesh_names_the_line_of_an_overflowing_integer(tmp_path, replace, l
     # np.array raised OverflowError, which the CLI does not treat as a config error
     path = _triangle_file(tmp_path, replace)
     message = f"{path}: {line} row holds an integer outside the 64-bit range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_mesh(path)
+
+
+def test_read_mesh_names_the_line_of_a_byte_that_is_not_ascii(tmp_path):
+    # the codec's own text ("'ascii' codec can't decode byte 0xc3 in
+    # position 42") named no line
+    path = _triangle_file(tmp_path, {8: "2 0 \u00e9"})  # UTF-8 c3 a9
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: line 8: byte 0xc3 is not ASCII$"):
+        read_mesh(path)
+
+
+def test_read_mesh_refuses_a_token_write_mesh_never_writes(tmp_path):
+    # Python's int read the side tag "1_0" as 10, and the mesh was accepted
+    path = _triangle_file(tmp_path, {8: "2 0 1_0"})
+    message = f"{path}: line 8: facet row holds a value that is not an integer"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_mesh(path)
 

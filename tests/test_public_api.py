@@ -53,14 +53,13 @@ def test_each_listed_name_lives_in_its_module():
 _FIRST_USES = """
 import sys
 import whitefem
-from whitefem.spectral import sobolev_resolvent_weight, spectral_tail_bound
+from whitefem.spectral import spectral_tail_bound
 
 DEFERRED = ("scipy.special", "scipy.optimize", "scipy.integrate")
 calls = [
     lambda: whitefem.GaussianStream(0).normals(4),
     lambda: whitefem.eigenpairs(whitefem.Interval(0.0, 1.0), whitefem.robin(1.0), 3),
-    lambda: spectral_tail_bound(whitefem.Interval(0.0, 1.0), whitefem.neumann(), 10.0,
-                                sobolev_resolvent_weight(1.0, 1.0)),
+    lambda: spectral_tail_bound(whitefem.Interval(0.0, 1.0), whitefem.neumann(), 10.0, 1.0, 1.0, 2),
 ]
 for k, call in enumerate(calls):
     loaded = [m for m in DEFERRED if m in sys.modules]

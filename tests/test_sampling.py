@@ -52,15 +52,17 @@ class TestSamplePath:
         assert np.array_equal(two.coefficients, 2.0 * one.coefficients)
 
     def test_operators_come_from_the_system(self):
+        # the operator is the mesh's one FactorizedSystem, not a wrapper of one
         mesh = build_rectangle_mesh(1.0, 1.0, 4, 4)
         op = DiscreteSolutionOperator(mesh, robin(2.0), 1.0)
-        assert op.K is op.system.K
-        assert op.M is op.system.M
-        assert op.R is op.system.R
+        assert isinstance(op, fem.FactorizedSystem)
+        assert not hasattr(op, "system")
+        assert op.sampler.M is op.M
+        assert (op.A_full != op.K + 1.0 * op.M + 2.0 * op.R).nnz == 0
 
     def test_path_satisfies_discrete_equation(self, neumann_op):
         path, load = sample_path_with_load(neumann_op, GaussianStream(9, 4))
-        residual = neumann_op.system.A_full @ path.coefficients - load.b
+        residual = neumann_op.A_full @ path.coefficients - load.b
         assert np.abs(residual).max() < 1e-9 * np.abs(load.b).max()
 
     def test_zero_mean_at_probe_points(self, neumann_op):
@@ -79,7 +81,7 @@ class TestFactorOrder:
         op = DiscreteSolutionOperator(build_rectangle_mesh(2.0, 1.0, 6, 4), bc, 0.9)
         assert len(factored) == 2
         assert factored[0] is op.M
-        assert factored[1] is op.system.A
+        assert factored[1] is op.A
         sample_path_with_load(op, GaussianStream(3, 1))
         op.probe([(0.5, 0.5), (1.5, 0.2)])
         assert len(factored) == 2
@@ -92,10 +94,10 @@ class TestFactorizationProbe:
         # 1e-10, while its backward error stays at rounding level.
         mesh = build_rectangle_mesh(1.0, 1.0, 64, 64)
         op = DiscreteSolutionOperator(mesh, neumann(), 1e-4)
-        probe = GaussianStream(0, 0).normals(op.system.n_free)
-        c = op.system.solve_free(probe)
-        assert np.linalg.norm(op.system.A @ c - probe) / np.linalg.norm(probe) > 1e-10
-        assert op.system.backward_error(c, probe) < 1e-15
+        probe = GaussianStream(0, 0).normals(op.n_free)
+        c = op.solve_free(probe)
+        assert np.linalg.norm(op.A @ c - probe) / np.linalg.norm(probe) > 1e-10
+        assert op.backward_error(c, probe) < 1e-15
 
     @pytest.mark.parametrize("bc", [neumann(), robin(0.8), dirichlet()], ids=["neumann", "robin", "dirichlet"])
     def test_factor_of_another_matrix_is_refused(self, bc, monkeypatch):
@@ -161,7 +163,7 @@ class TestMonteCarloMoments:
         assert stream.counter == n * mesh.n_nodes
 
         B = op.sampler.sample_batch(GaussianStream(19, 2), n)
-        C = op.system.solve_free(B[op.free])
+        C = op.solve_free(B[op.free])
         P = point_vectors(mesh, points)[op.free].T
         values = (P @ C).T
         mean = values.mean(axis=0)
@@ -180,9 +182,9 @@ class TestGalerkinIdentities:
         rng = np.random.default_rng(15)
         f = rng.standard_normal(mesh.n_nodes)
         g = rng.standard_normal(mesh.n_nodes)
-        Tf = op.system.solve(op.M @ f)
-        Tg = op.system.solve(op.M @ g)
-        lhs = Tf @ (op.system.A_full @ Tg)
+        Tf = op.solve(op.M @ f)
+        Tg = op.solve(op.M @ g)
+        lhs = Tf @ (op.A_full @ Tg)
         rhs = f @ (op.M @ Tg)
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
 
@@ -217,9 +219,9 @@ class TestGalerkinIdentities:
 def test_dirichlet_operator_reduces_to_interior():
     mesh = build_interval_mesh(0, 1, 4)
     op = DiscreteSolutionOperator(mesh, dirichlet(), 1.0)
-    assert op.system.n_free == 3
+    assert op.n_free == 3
     op_full = DiscreteSolutionOperator(mesh, neumann(), 1.0)
-    assert op_full.system.n_free == 5
+    assert op_full.n_free == 5
 
 
 def one_batch_moments(op, points, n, stream):
@@ -240,8 +242,8 @@ def one_batch_moments(op, points, n, stream):
 def written_out_covariances(op, points):
     # p(x)^T A^{-1} M A^{-1} p(y) with dense matrices on the free nodes
     P = point_vectors(op.mesh, points)[op.free]
-    A = op.system.A.toarray()
-    M = op.system.restrict(op.M).toarray()
+    A = op.A.toarray()
+    M = op.restrict(op.M).toarray()
     W = np.linalg.solve(A, P)
     return W.T @ M @ W
 

@@ -9,7 +9,6 @@ from whitefem.spectral import (
     covariance_function,
     eigenpairs,
     greens_function_1d,
-    sobolev_resolvent_weight,
     spectral_tail_bound,
 )
 
@@ -190,10 +189,7 @@ class TestTailBounds:
         lam = 1.0
         for cut in (10, 100, 1000):
             actual = np.sum((basis.mu[cut:] + lam) ** -2.0)
-            bound = spectral_tail_bound(
-                Interval(0, np.pi), dirichlet(), float(basis.mu[cut - 1]),
-                sobolev_resolvent_weight(0.0, lam, p=2),
-            )
+            bound = spectral_tail_bound(Interval(0, np.pi), dirichlet(), float(basis.mu[cut - 1]), 0.0, lam, 2)
             assert actual <= bound
             assert bound < 20.0 * actual + 1e-12
 
@@ -203,31 +199,24 @@ class TestTailBounds:
         lam = 1.0
         for cut in (100, 2000):
             actual = np.sum((basis.mu[cut:] + lam) ** -2.0)
-            bound = spectral_tail_bound(
-                dom, neumann(), float(basis.mu[cut - 1]), sobolev_resolvent_weight(0.0, lam, p=2)
-            )
+            bound = spectral_tail_bound(dom, neumann(), float(basis.mu[cut - 1]), 0.0, lam, 2)
             assert actual <= bound
 
     def test_1d_tail_scales_like_inverse_cube(self):
         dom = Interval(0.0, 1.0)
-        w = sobolev_resolvent_weight(0.0, 1.0, p=2)
-        bounds = [spectral_tail_bound(dom, dirichlet(), (k * np.pi) ** 2, w) for k in (64, 128, 256)]
+        bounds = [spectral_tail_bound(dom, dirichlet(), (k * np.pi) ** 2, 0.0, 1.0, 2) for k in (64, 128, 256)]
         for b1, b2 in zip(bounds, bounds[1:]):
             assert b1 / b2 == pytest.approx(8.0, rel=0.15)
 
     def test_divergent_weight_reports_infinity(self):
-        w = sobolev_resolvent_weight(0.1, 1.0, p=0)
-        assert spectral_tail_bound(Rectangle(1, 1), neumann(), 100.0, w) == np.inf
+        assert spectral_tail_bound(Rectangle(1, 1), neumann(), 100.0, 0.1, 1.0, 0) == np.inf
 
     def test_hilbert_schmidt_partial_sums_cauchy_2d(self):
         basis = eigenpairs(Rectangle(np.pi, np.pi), neumann(), 50000)
         terms = (basis.mu + 1.0) ** -2.0
         partial = np.cumsum(terms)
         assert partial[-1] - partial[20000] < 1e-3
-        tail = spectral_tail_bound(
-            Rectangle(np.pi, np.pi), neumann(), float(basis.mu[-1]),
-            sobolev_resolvent_weight(0.0, 1.0, p=2),
-        )
+        tail = spectral_tail_bound(Rectangle(np.pi, np.pi), neumann(), float(basis.mu[-1]), 0.0, 1.0, 2)
         assert np.isfinite(tail)
 
 
