@@ -53,6 +53,7 @@ from .convergence import (
     fit_rate,
     holder_modulus,
     l2_realization_diagnostic,
+    spectral_series,
     truncation_error_closed_form,
 )
 

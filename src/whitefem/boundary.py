@@ -292,13 +292,13 @@ class CameronMartinSystem:
 
     Candidates T_h f_k (f_k the nodal interpolants of exact eigenmodes) are
     orthonormalized in the energy inner product a(u, v) = u^T A v, in basis
-    order; numerically dependent candidates (relative norm below 1e-10 after
-    two classical Gram-Schmidt passes against the kept vectors) are dropped,
-    so the vectors are those of the first m independent candidates.  The
-    candidates come in blocks, each as many as vectors are still missing,
-    evaluated, loaded and solved at once.  Against this system a sampled
-    path expands with coefficients read off its own load, since
-    a(X_h, e_k) = b^T e_k.
+    order; a candidate is dropped when its energy norm after two classical
+    Gram-Schmidt passes against the kept vectors is at most 1e-10 of the exact
+    image's, ||T e_k||_a = (mu_k + lam)^-1/2, so the vectors are those of the
+    first m independent candidates.  The candidates come in blocks, each as
+    many as vectors are still missing, evaluated, loaded and solved at once.
+    Against this system a sampled path expands with coefficients read off its
+    own load, since a(X_h, e_k) = b^T e_k.
     """
 
     def __init__(self, op: DiscreteSolutionOperator, basis: EigenBasis, m: int):
@@ -315,14 +315,14 @@ class CameronMartinSystem:
                 )
             k1 = min(k + m - kept, basis.count)
             block = op.solve_free((op.M @ basis.evaluate(op.mesh.nodes, k, k1).T)[op.free])
-            for v in block.T:
-                norm0 = np.sqrt(v @ (op.A @ v))
+            drop = _GS_DROP_TOL / np.sqrt(basis.mu[k:k1] + op.lam)
+            for v, tol in zip(block.T, drop):
                 kept_vectors = self.vectors[:, :kept]
                 for _ in range(2):  # reorthogonalize to keep the Gram matrix at identity
                     v = v - kept_vectors @ (kept_vectors.T @ (op.A @ v))
-                norm1 = np.sqrt(max(v @ (op.A @ v), 0.0))
-                if norm1 > _GS_DROP_TOL * max(norm0, 1e-300):  # a NaN norm fails: the vector is dropped
-                    self.vectors[:, kept] = v / norm1
+                norm = np.sqrt(max(v @ (op.A @ v), 0.0))
+                if norm > tol:  # a NaN norm fails: the vector is dropped
+                    self.vectors[:, kept] = v / norm
                     kept += 1
             k = k1
 

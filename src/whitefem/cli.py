@@ -16,7 +16,8 @@ anywhere in them is a numerical failure; so is an infinity in a JSON file,
 where a diverging tail series writes its bound as null (levels.csv: inf).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 acceptance-threshold violation (or an unconverged statistic).
+4 acceptance-threshold violation or an unconverged statistic (a `converge`
+budget, or a `truncate` or `l2diag` tail bound over 1e-3 of its value).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from . import __version__
 from .convergence import (
     ADAPT_CAP,
+    SERIES_REL,
     deterministic_fem_error,
     holder_modulus,
     l2_realization_diagnostic,
@@ -50,7 +52,7 @@ from .sampling import (
     monte_carlo_moments,
     path_point_values,
 )
-from .spectral import Interval, ModelDomain, Rectangle, eigenpairs
+from .spectral import Interval, ModelDomain, Rectangle
 
 
 class ConfigError(Exception):
@@ -245,7 +247,6 @@ _ONE_LEVEL = Key(*_INTEGERS, (8,), _one_level)
 _STREAM_ID = Key(*_INTEGER, 0)
 _R = Key(*_NUMBER, lambda cfg: _r_floor(cfg) + 0.1,
          lambda r, cfg: None if r > _r_floor(cfg) else f"must exceed d/2 - 1 = {_r_floor(cfg)}, got {r}")
-_MODES = Key(*_INTEGER, 4096, _at_least(1))
 
 
 def effective_config_lines(cfg: ExperimentConfig) -> list[str]:
@@ -406,14 +407,11 @@ def run_converge(cfg: ExperimentConfig):
 
 
 def run_truncate(cfg: ExperimentConfig):
+    """Truncation errors; exit 4 when a tail bound is over SERIES_REL of its value."""
     truncations = cfg["truncations"]
-    basis = eigenpairs(cfg.domain, cfg.bc, max(cfg["modes"], max(truncations) + 1))
-    rows = []
-    values = []
-    for m in truncations:
-        val = truncation_error_closed_form(basis, cfg.lam, cfg["r"], m)
-        rows.append([m, val.value, val.tail_bound])
-        values.append(val.value)
+    vals = [truncation_error_closed_form(cfg.domain, cfg.bc, cfg.lam, cfg["r"], m) for m in truncations]
+    rows = [[m, val.value, val.tail_bound] for m, val in zip(truncations, vals)]
+    values = [val.value for val in vals]
     header = ["m", "error_sq", "tail_bound"]
     report = {
         "r": cfg["r"],
@@ -421,7 +419,7 @@ def run_truncate(cfg: ExperimentConfig):
         "values": values,
         "strictly_decreasing": bool(np.all(np.diff(values) < 0)),
     }
-    return report, header, rows
+    return report, header, rows, (0 if all(v.tail_bound <= SERIES_REL * v.value for v in vals) else 4)
 
 
 def run_holder(cfg: ExperimentConfig):
@@ -441,19 +439,19 @@ def run_holder(cfg: ExperimentConfig):
 
 
 def run_l2diag(cfg: ExperimentConfig):
-    basis = eigenpairs(cfg.domain, cfg.bc, cfg["modes"])
-    partial, tail = l2_realization_diagnostic(basis, cfg.lam)
+    """Partial sums of sum_k (mu_k + lam)^-2; exit 4 when the tail bound is over SERIES_REL of the total."""
+    partial, tail = l2_realization_diagnostic(cfg.domain, cfg.bc, cfg.lam)
     step = max(1, partial.size // 64)
     rows = [[k + 1, partial[k]] for k in range(0, partial.size, step)]
     if rows[-1][0] != partial.size:
         rows.append([partial.size, partial[-1]])
     header = ["modes", "partial_sum"]
     report = {
-        "modes": cfg["modes"],
+        "modes": partial.size,
         "total": float(partial[-1]),
         "tail_bound": tail,
     }
-    return report, header, rows
+    return report, header, rows, (0 if tail <= SERIES_REL * partial[-1] else 4)
 
 
 class Experiment(NamedTuple):
@@ -479,14 +477,14 @@ _EXPERIMENT_TABLE = {
         "basis_count": Key(*_INTEGER, 0, _at_least(0)),
     }, needs_domain=True),
     "truncate": Experiment(run_truncate, {
-        "r": _R, "modes": _MODES,
+        "r": _R,
         "truncations": Key(*_INTEGERS, (10, 40, 160), lambda ms, cfg: None if ms and min(ms) >= 0 else (
             f"need one or more nonnegative truncations, got {cfg.raw.get('truncations')!r}")),
     }, needs_domain=True),
     "holder": Experiment(run_holder, {
         "levels": _ONE_LEVEL, "points": Key(_points, "a point list", (), _point_pairs),
     }),
-    "l2diag": Experiment(run_l2diag, {"modes": _MODES}, needs_domain=True),
+    "l2diag": Experiment(run_l2diag, {}, needs_domain=True),
 }
 EXPERIMENTS = tuple(_EXPERIMENT_TABLE)
 CONFIG_KEYS = frozenset({"domain", "mesh_file", *_COMMON_KEYS}).union(

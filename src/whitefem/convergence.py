@@ -55,6 +55,7 @@ _CHUNK = 32
 _ADAPT_START = 512
 ADAPT_CAP = 20_000
 _ADAPT_REL = 0.01
+_SERIES_START, _SERIES_CAP, SERIES_REL = 256, 1 << 20, 1e-3  # spectral_series' sizes and tail share
 
 
 class LevelError(NamedTuple):
@@ -367,37 +368,45 @@ def deterministic_fem_error(
     )
 
 
-# -- closed-form truncation error ----------------------------------------------
+# -- closed-form spectral series ------------------------------------------------
 
 
-def truncation_error_closed_form(basis: EigenBasis, lam: float, r: float, m: int) -> TruncatedValue:
+def spectral_series(domain: ModelDomain, bc: BoundaryCondition, r: float, lam: float, p: int,
+                    start: int = 0) -> tuple[np.ndarray, float]:
+    """Terms (1 + mu_k)^-r (mu_k + lam)^-p and the spectral_tail_bound on the
+    sum past them.  The basis starts at 256 modes and at least start + 1, and
+    doubles until the bound is at most SERIES_REL of sum(terms[start:]) or it
+    holds 2^20 modes; only at that cap can the bound be larger."""
+    count = max(_SERIES_START, start + 1)
+    while True:
+        mu = eigenpairs(domain, bc, count).mu
+        terms = (1.0 + mu) ** -r * (mu + lam) ** -p
+        tail = spectral_tail_bound(domain, bc, float(mu[-1]), r, lam, p)
+        if tail <= SERIES_REL * np.sum(terms[start:]) or count >= _SERIES_CAP:
+            return terms, tail
+        count = min(2 * count, _SERIES_CAP)
+
+
+def truncation_error_closed_form(domain: ModelDomain, bc: BoundaryCondition, lam: float, r: float,
+                                 m: int) -> TruncatedValue:
     """Mean-square H^{-r} error of the m-term spectral noise truncation.
 
     In the eigenbasis the projection and the solution operator are diagonal
     together, so the error is exactly sum_{k > m} (1+mu_k)^{-r} (mu_k+lam)^{-2};
-    the part beyond the prepared basis is covered by the reported tail bound.
+    the part beyond spectral_series' basis is covered by the tail bound.
     """
     if m < 0:
         raise ValueError(f"truncation must be nonnegative, got {m}")
-    if m > basis.count:
-        raise ValueError(f"truncation {m} exceeds basis size {basis.count}")
-    w = (1.0 + basis.mu[m:]) ** (-r) * (basis.mu[m:] + lam) ** -2.0
-    tail = spectral_tail_bound(basis.domain, basis.bc, float(basis.mu[-1]), r, lam, 2)
-    return TruncatedValue(float(np.sum(w)), float(tail))
+    terms, tail = spectral_series(domain, bc, r, lam, 2, start=m)
+    return TruncatedValue(float(np.sum(terms[m:])), tail)
 
 
-def l2_realization_diagnostic(basis: EigenBasis, lam: float) -> tuple[np.ndarray, float]:
-    """Partial sums of sum_k (mu_k + lam)^-2 and an integral tail bound.
-
-    A finite limit is the Hilbert-Schmidt criterion for square-integrable
-    realizations of the solution field; the returned cumulative sums let the
-    caller inspect the convergence, and partial_sums[-1] + tail brackets the
-    full series.
-    """
-    terms = (basis.mu + lam) ** -2.0
-    partial = np.cumsum(terms)
-    tail = spectral_tail_bound(basis.domain, basis.bc, float(basis.mu[-1]), 0.0, lam, 2)
-    return partial, float(tail)
+def l2_realization_diagnostic(domain: ModelDomain, bc: BoundaryCondition, lam: float) -> tuple[np.ndarray, float]:
+    """Partial sums of sum_k (mu_k + lam)^-2 and the tail bound past them.  A
+    finite limit is the Hilbert-Schmidt criterion for square-integrable
+    realizations of the solution field; partial[-1] + tail brackets it."""
+    terms, tail = spectral_series(domain, bc, 0.0, lam, 2)
+    return np.cumsum(terms), tail
 
 
 # -- pointwise regularity diagnostics --------------------------------------------
@@ -456,13 +465,10 @@ def holder_modulus(op: DiscreteSolutionOperator, pairs: Sequence[tuple]) -> Hold
 # -- upper-bound ingredients ------------------------------------------------------
 
 
-def hs_embedding_bound(domain: ModelDomain, bc: BoundaryCondition, r: float,
-                       count: int = 4000) -> TruncatedValue:
+def hs_embedding_bound(domain: ModelDomain, bc: BoundaryCondition, r: float) -> TruncatedValue:
     """sum_k (1 + mu_k)^-(r+1), the squared Hilbert-Schmidt embedding factor."""
-    basis = eigenpairs(domain, bc, count)
-    value = float(np.sum((1.0 + basis.mu) ** (-(r + 1.0))))
-    tail = spectral_tail_bound(domain, bc, float(basis.mu[-1]), r + 1.0, 1.0, 0)
-    return TruncatedValue(value, float(tail))
+    terms, tail = spectral_series(domain, bc, r + 1.0, 1.0, 0)
+    return TruncatedValue(float(np.sum(terms)), tail)
 
 
 def h1_error_sup_estimate(

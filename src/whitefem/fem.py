@@ -297,22 +297,21 @@ class FactorizedSystem:
     """The one solver object of a mesh: A c = b on the free degrees of freedom.
 
     The single owner of the discrete operators: K, M and (Robin only) R are
-    assembled here once, with 32-bit indices, and A_full = K + lam M
-    (+ beta R) on the full node set is built from them.  For Dirichlet
-    problems the boundary rows/columns are eliminated, and `extend` puts a
-    solution back on all nodes with exact zeros on the boundary.  A is the
-    one sorted CSR copy of the reduced matrix (A_full itself when every node
-    is free); it serves the residuals and the factorization.  `order` is the
-    nested-dissection ordering of all nodes (from the coordinates and M's
-    pattern), the one the load factor also uses.  A is factored once, on the
-    first solve, as the symmetric positive definite matrix it is, under that
-    ordering with the Dirichlet nodes dropped and the rest renumbered to free
-    positions; with every node free that equals `order`.  Every later
-    backsolve reuses that factor.  Because A is not factored here, a caller
-    can build M's load factor first, and the transient copies of that
-    factorization are freed before A's factor exists.  The operators and the
-    ordering do not change after construction.  The sampling operator and
-    the mode sums' level context are subclasses, not wrappers.
+    assembled here once, with 32-bit indices, and A is K + lam M (+ beta R) on
+    the free degrees of freedom.  For Dirichlet problems the boundary
+    rows/columns are eliminated, and `extend` puts a solution back on all
+    nodes with exact zeros on the boundary.  A is the one sorted CSR copy of
+    the reduced matrix; it serves the residuals and the factorization.
+    `order` is the nested-dissection ordering of all nodes (from the
+    coordinates and M's pattern), the one the load factor also uses.  A is
+    factored once, on the first solve, as the symmetric positive definite
+    matrix it is, under that ordering with the Dirichlet nodes dropped and the
+    rest renumbered to free positions; with every node free that equals
+    `order`.  Every later backsolve reuses that factor.  Because A is not
+    factored here, a caller can build M's load factor first, and the transient
+    copies of that factorization are freed before A's factor exists.  The
+    operators and the ordering do not change after construction.  The sampling
+    operator and the mode sums' level context are subclasses, not wrappers.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
@@ -334,7 +333,6 @@ class FactorizedSystem:
         A = self.K + lam * self.M
         if self.R is not None:
             A = A + bc.beta * self.R
-        self.A_full = A
         self.A = self.restrict(A)
         # M's pattern is the element graph.  A = K + lam M (+ beta R) is SPD
         # because lam > 0, beta > 0 and every element measure is positive,

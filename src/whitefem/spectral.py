@@ -39,10 +39,6 @@ class Interval:
     def length(self) -> float:
         return self.b - self.a
 
-    @property
-    def measure(self) -> float:
-        return self.length
-
 
 @dataclass(frozen=True)
 class Rectangle:

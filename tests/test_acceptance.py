@@ -141,7 +141,7 @@ def test_criterion_06_truncation_convergence():
     basis = eigenpairs(Rectangle(PI, PI), neumann(), 4000)
     r, lam = 1.1, 1.0
     ms = (10, 40, 160)
-    closed = [truncation_error_closed_form(basis, lam, r, m) for m in (0, *ms)]
+    closed = [truncation_error_closed_form(Rectangle(PI, PI), neumann(), lam, r, m) for m in (0, *ms)]
     decreasing = all(a.value > b.value for a, b in zip(closed, closed[1:]))
 
     # Monte Carlo proxy: reference truncation M stands in for the full field

@@ -130,6 +130,22 @@ class TestScaleSpace:
         area2 = np.sum(pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1])
         assert area2 > 0
 
+    def test_clockwise_facets_give_the_counterclockwise_chain(self):
+        # the walk leaves the corner (0, 0) toward its first listed neighbour:
+        # along the bottom side, counterclockwise, as the facets come; up the
+        # left side, clockwise, once their list is reversed
+        m = build_rectangle_mesh(2.0, 1.0, 4, 2)
+        flipped = Mesh(2, m.nodes, m.elements, m.facet_nodes[::-1], m.facet_sides[::-1])
+        # node 0 is the corner; the other end of the first facet at it (the sum)
+        first = [next(int(f.sum()) for f in mesh.facet_nodes if 0 in f) for mesh in (m, flipped)]
+        assert [tuple(m.nodes[n]) for n in first] == [(0.5, 0.0), (0.0, 0.5)]
+        (chain, s, perimeter), want = boundary_chain(flipped), boundary_chain(m)
+        assert np.array_equal(chain, want[0]) and np.array_equal(s, want[1]) and perimeter == want[2]
+        vals = np.random.default_rng(3).standard_normal(m.boundary_nodes().size)
+        norms = [scale_space_norm(BoundaryFunction(mesh, mesh.boundary_nodes(), vals, "trace"),
+                                  scale_space_basis(mesh)) for mesh in (m, flipped)]
+        assert norms[0] == norms[1]
+
     def test_zero_function(self):
         m = build_rectangle_mesh(1.0, 1.0, 3, 3)
         basis = scale_space_basis(m)
@@ -223,7 +239,7 @@ class TestMeasurableTraceSeries:
         mesh, op, basis, system = setup
         load = op.sampler.sample(GaussianStream(5, 0))
         path = op.path_from_load(load)
-        A = op.A_full
+        A = op.K + op.M
         dists = []
         for m in range(0, op.n_free + 1, 6):
             part = system.partial_sum(load, m)
@@ -260,31 +276,33 @@ class TestMeasurableTraceSeries:
 
 def _one_candidate_at_a_time(op, basis, m):
     """Reference construction: each candidate solved on its own, then two
-    passes of modified Gram-Schmidt against the kept vectors one at a time.
-    Returns the vectors and the indices of the kept candidates."""
+    passes of modified Gram-Schmidt against the kept vectors one at a time;
+    kept when its energy norm is over 1e-10 of the exact image's,
+    (mu_k + lam)^-1/2.  Returns the vectors and the kept candidates' indices."""
     vectors, kept = [], []
     for k in range(basis.count):
         if len(vectors) == m:
             break
         v = op.solve_free((op.M @ basis.evaluate(op.mesh.nodes, k, k + 1)[0])[op.free])
-        norm0 = np.sqrt(v @ (op.A @ v))
         for _ in range(2):
             for e in vectors:
                 v = v - (e @ (op.A @ v)) * e
-        norm1 = np.sqrt(max(v @ (op.A @ v), 0.0))
-        if norm1 > 1e-10 * norm0:
-            vectors.append(v / norm1)
+        norm = np.sqrt(max(v @ (op.A @ v), 0.0))
+        if norm > 1e-10 / np.sqrt(basis.mu[k] + op.lam):
+            vectors.append(v / norm)
             kept.append(k)
     return np.column_stack(vectors), kept
 
 
-@pytest.mark.parametrize("bc, modes", [(neumann(), neumann()), (dirichlet(), neumann()), (robin(0.7), robin(0.7))],
-                         ids=["neumann", "dirichlet", "robin"])
+@pytest.mark.parametrize("bc, modes", [
+    (neumann(), neumann()), (dirichlet(), neumann()), (dirichlet(), dirichlet()), (robin(0.7), robin(0.7)),
+], ids=["neumann", "dirichlet", "dirichlet-own-modes", "robin"])
 def test_block_system_keeps_the_first_independent_candidates(bc, modes):
     # On 7 nodes per axis the modes past index 6 along an axis interpolate to
-    # combinations of lower ones.  The Dirichlet operator takes cosine modes:
-    # 6 of them per axis on its 5 interior nodes, so some are dropped before
-    # the system is full (its own sine modes vanish at the nodes first).
+    # combinations of lower ones.  The Dirichlet operator also takes cosine
+    # modes: 6 of them per axis on its 5 interior nodes, so some are dropped
+    # before the system is full.  Its own sine modes with a sin(6 pi x) or
+    # sin(6 pi y) factor vanish at the nodes, and are dropped too.
     mesh = build_rectangle_mesh(1.0, 1.0, 6, 6)
     op = DiscreteSolutionOperator(mesh, bc, 1.0)
     basis = eigenpairs(Rectangle(1.0, 1.0), modes, op.n_free + 40)

@@ -1,10 +1,10 @@
 """Byte-identity guard: every CLI experiment on a fixed config set.
 
 `tests/data/byte_guard/` holds one small config per experiment and boundary
-condition (meshes of at most 16 x 16, at most 500 paths and 256 modes) and
-`digests.json`, the SHA-256 of every output file they produce.  A change
-that moves any output byte fails here and must say which outputs changed
-and why.  After such a change, rewrite the digests with
+condition (meshes of at most 16 x 16, at most 500 paths and 256 `converge`
+modes) and `digests.json`, the SHA-256 of every output file they produce.
+A change that moves any output byte fails here and must say which outputs
+changed and why.  After such a change, rewrite the digests with
 
     PYTHONPATH=src python tests/test_byte_guard.py
 

@@ -59,7 +59,6 @@ b = 3.141592653589793
 bc = dirichlet
 lambda = 1.0
 r = 0.6
-modes = 2000
 truncations = 10, 40, 160
 """
 
@@ -167,7 +166,7 @@ class TestCliRuns:
     def test_l2diag_reports_finite_tail(self, tmp_path):
         config = (
             "domain = rectangle\nlx = 3.14159\nly = 3.14159\nbc = neumann\n"
-            "lambda = 1.0\nmodes = 5000\n"
+            "lambda = 1.0\n"
         )
         code, outdir = run_cli(tmp_path, "l2diag", config)
         assert code == 0
@@ -515,7 +514,7 @@ def test_probe_point_outside_mesh_is_config_error(tmp_path, capsys):
     ("covariance", SQUARE + "levels = 4\nsamples = 1\npoints = 1,1; 2,2\n", "samples"),
     ("sample", INTERVAL + "levels = 4\nsamples = -3\n", "samples"),
     ("sample", INTERVAL + "levels = 4\nsamples = 0\n", "samples"),
-    ("l2diag", INTERVAL + "modes = 0\n", "modes"),
+    ("l2diag", INTERVAL + "modes = 256\n", "modes"),
     ("truncate", INTERVAL + "truncations = -1 3\n", "truncations"),
     ("truncate", INTERVAL + "truncations = ,\n", "truncations"),
     ("converge", INTERVAL + "levels = 4 8 16\nbasis_count = -4\n", "basis_count"),
@@ -528,7 +527,7 @@ def test_probe_point_outside_mesh_is_config_error(tmp_path, capsys):
     ("holder", SQUARE + "levels = 8\n" + holder_points([0.1, 0.2, 0.3, 0.4, 0.5]), "points"),
 ], ids=[
     "negative-beta", "negative-lx", "b-below-a", "covariance-one-sample", "negative-samples",
-    "zero-samples", "zero-modes", "negative-truncation", "no-truncations", "negative-basis-count",
+    "zero-samples", "modes-unknown-key", "negative-truncation", "no-truncations", "negative-basis-count",
     "solve-three-levels", "sample-two-levels", "covariance-two-levels", "holder-two-levels",
     "holder-odd-points", "holder-coincident-pair", "holder-under-a-decade",
 ])
@@ -652,6 +651,28 @@ def test_adaptive_converge_exits_4_when_the_mode_cap_stops_it(tmp_path):
         assert json.loads(report_path.read_text())["basis_count"] == want_modes
         written = sorted(f.name for f in report_path.parent.iterdir())
         assert written == ["levels.csv", "meta.json", "report.json"]
+
+
+@pytest.mark.parametrize("experiment, keys", [("truncate", "r = 0.6\n"), ("l2diag", "")])
+def test_series_stopped_at_the_basis_cap_exits_4(tmp_path, monkeypatch, experiment, keys):
+    # at 256 modes the m = 160 truncation error of the square is under its
+    # tail bound, and the L2 series' bound is over 1e-3 of its total
+    for cap, want_code in ((256, 4), (1 << 20, 0)):
+        monkeypatch.setattr(whitefem.convergence, "_SERIES_CAP", cap)
+        (tmp_path / str(cap)).mkdir()
+        code, outdir = run_cli(tmp_path / str(cap), experiment, SQUARE + keys)
+        assert code == want_code
+        (report_path,) = outdir.glob(f"{experiment}/*/report.json")
+        written = sorted(f.name for f in report_path.parent.iterdir())
+        assert written == ["levels.csv", "meta.json", "report.json"]
+        rows = [row.split(",") for row in (report_path.parent / "levels.csv").read_text().splitlines()[4:]]
+        if experiment == "truncate":
+            ratios = [float(tail) / float(value) for _, value, tail in rows]
+        else:
+            report = json.loads(report_path.read_text())
+            assert int(rows[-1][0]) == report["modes"] and (report["modes"] == 256) == (cap == 256)
+            ratios = [report["tail_bound"] / report["total"]]
+        assert (max(ratios) > 1e-3) == (want_code == 4)
 
 
 def test_readme_experiment_table_matches_the_cli():

@@ -13,6 +13,7 @@ from whitefem.convergence import (
     hs_embedding_bound,
     l2_realization_diagnostic,
     pair_separations,
+    spectral_series,
     truncation_error_closed_form,
 )
 import whitefem.convergence as convergence
@@ -20,7 +21,7 @@ from whitefem.fem import _SOLVE_CHUNK, FactorizedSystem, dirichlet, element_grad
 from whitefem.mesh import build_interval_mesh, build_rectangle_mesh, refine_uniform
 from whitefem.noise import GaussianStream
 from whitefem.sampling import DiscreteSolutionOperator
-from whitefem.spectral import Interval, Rectangle, eigenpairs
+from whitefem.spectral import Interval, Rectangle, TruncatedValue, eigenpairs
 
 
 class TestFitRate:
@@ -362,78 +363,75 @@ def test_an_adaptive_sum_keeps_every_level(monkeypatch):
     assert len(live) == 0
 
 
-@pytest.fixture(scope="module")
-def basis():
-    return eigenpairs(Rectangle(np.pi, np.pi), neumann(), 4000)
+SQUARE = Rectangle(np.pi, np.pi)
 
 
 class TestTruncationError:
-    def test_zero_truncation_is_total_variance(self, basis):
+    def test_zero_truncation_is_total_variance(self):
         r, lam = 1.1, 1.0
-        total = truncation_error_closed_form(basis, lam, r, 0)
-        expected = np.sum((1.0 + basis.mu) ** -r * (basis.mu + lam) ** -2.0)
+        total = truncation_error_closed_form(SQUARE, neumann(), lam, r, 0)
+        # the sum over the basis that spectral_series sized
+        mu = eigenpairs(SQUARE, neumann(), spectral_series(SQUARE, neumann(), r, lam, 2)[0].size).mu
+        expected = np.sum((1.0 + mu) ** -r * (mu + lam) ** -2.0)
         assert total.value == pytest.approx(expected)
 
-    def test_strictly_decreasing_in_m(self, basis):
-        vals = [truncation_error_closed_form(basis, 1.0, 1.1, m).value for m in (0, 10, 40, 160, 640)]
+    def test_strictly_decreasing_in_m(self):
+        vals = [truncation_error_closed_form(SQUARE, neumann(), 1.0, 1.1, m).value for m in (0, 10, 40, 160, 640)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_monte_carlo_proxy_agreement(self, basis):
+    def test_monte_carlo_proxy_agreement(self):
         # || X^(M) - X^(m) ||^2 over draws vs closed form of the band (m, M]
         r, lam = 1.1, 1.0
         m, M = 40, 1600
-        w = (1.0 + basis.mu[m:M]) ** -r * (basis.mu[m:M] + lam) ** -2.0
+        mu = eigenpairs(SQUARE, neumann(), M).mu
+        w = (1.0 + mu[m:M]) ** -r * (mu[m:M] + lam) ** -2.0
         expected = float(np.sum(w))
         n = 10_000
         draws = GaussianStream(99, 0).normals(n * (M - m)).reshape(n, M - m)
         vals = (draws**2) @ w
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - expected) <= 4.0 * se
-        closed = (
-            truncation_error_closed_form(basis, lam, r, m).value
-            - truncation_error_closed_form(basis, lam, r, M).value
-        )
-        assert closed == pytest.approx(expected)
+        # each truncation is summed over its own basis, so the band is
+        # bracketed by their difference and the two tail bounds
+        low, high = (truncation_error_closed_form(SQUARE, neumann(), lam, r, k) for k in (m, M))
+        closed = low.value - high.value
+        assert closed - high.tail_bound <= expected * (1 + 1e-12)
+        assert expected <= (closed + low.tail_bound) * (1 + 1e-12)
 
-    def test_tail_bound_dominates_remainder(self, basis):
-        big = eigenpairs(Rectangle(np.pi, np.pi), neumann(), 100_000)
-        small_val = truncation_error_closed_form(basis, 1.0, 1.1, 0)
-        big_val = truncation_error_closed_form(big, 1.0, 1.1, 0)
-        assert big_val.value - small_val.value <= small_val.tail_bound
+    def test_tail_bound_dominates_remainder(self):
+        mu = eigenpairs(SQUARE, neumann(), 100_000).mu
+        big = np.sum((1.0 + mu) ** -1.1 * (mu + 1.0) ** -2.0)
+        small_val = truncation_error_closed_form(SQUARE, neumann(), 1.0, 1.1, 0)
+        assert big - small_val.value <= small_val.tail_bound
 
-    def test_invalid_m_rejected(self, basis):
+    def test_invalid_m_rejected(self):
         with pytest.raises(ValueError):
-            truncation_error_closed_form(basis, 1.0, 1.1, -1)
-        with pytest.raises(ValueError):
-            truncation_error_closed_form(basis, 1.0, 1.1, basis.count + 1)
+            truncation_error_closed_form(SQUARE, neumann(), 1.0, 1.1, -1)
 
 
 class TestL2Diagnostic:
     def test_interval_matches_closed_form(self):
         # sum_k (k^2 + 1)^-2 = (pi/4)(coth pi + pi / sinh^2 pi) - 1/2
-        basis = eigenpairs(Interval(0.0, np.pi), dirichlet(), 10_000)
-        partial, tail = l2_realization_diagnostic(basis, 1.0)
+        partial, tail = l2_realization_diagnostic(Interval(0.0, np.pi), dirichlet(), 1.0)
         closed = (np.pi / 4.0) * (1.0 / np.tanh(np.pi) + np.pi / np.sinh(np.pi) ** 2) - 0.5
-        assert partial[-1] == pytest.approx(closed, abs=1e-10)
         # remainder is covered by the tail bound, up to cumsum rounding
-        assert closed - partial[-1] <= tail + 1e-12
+        assert -1e-12 <= closed - partial[-1] <= tail + 1e-12
+        assert tail <= 1e-3 * partial[-1]
 
     def test_increasing_lambda_decreases_terms(self):
-        basis = eigenpairs(Interval(0.0, np.pi), dirichlet(), 100)
-        p1, _ = l2_realization_diagnostic(basis, 1.0)
-        p2, _ = l2_realization_diagnostic(basis, 2.0)
-        assert (np.diff(p2) < np.diff(p1)).all()
+        p1, _ = l2_realization_diagnostic(Interval(0.0, np.pi), dirichlet(), 1.0)
+        p2, _ = l2_realization_diagnostic(Interval(0.0, np.pi), dirichlet(), 2.0)
+        n = min(p1.size, p2.size)
+        assert (np.diff(p2[:n]) < np.diff(p1[:n])).all()
 
     def test_2d_certifies_finiteness(self):
-        basis = eigenpairs(Rectangle(np.pi, np.pi), neumann(), 20_000)
-        partial, tail = l2_realization_diagnostic(basis, 1.0)
+        partial, tail = l2_realization_diagnostic(SQUARE, neumann(), 1.0)
         assert np.isfinite(tail)
         assert tail < 0.01 * partial[-1]
 
     def test_matches_monte_carlo_l2_mass(self):
         # E ||X_h||_L2^2 on a fine mesh vs the spectral series, within 5%
-        basis = eigenpairs(Rectangle(np.pi, np.pi), neumann(), 200_000)
-        partial, tail = l2_realization_diagnostic(basis, 1.0)
+        partial, tail = l2_realization_diagnostic(SQUARE, neumann(), 1.0)
         series = partial[-1]
         mesh = build_rectangle_mesh(np.pi, np.pi, 32, 32)
         op = DiscreteSolutionOperator(mesh, neumann(), 1.0)
@@ -443,6 +441,45 @@ class TestL2Diagnostic:
         vals = np.einsum("ij,ij->j", C, op.M_free @ C)
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - series) <= 0.05 * series + 4.0 * se
+
+
+def _l2_total(domain, bc):
+    partial, tail = l2_realization_diagnostic(domain, bc, 1.0)
+    return TruncatedValue(float(partial[-1]), tail)
+
+
+# name: (value and tail bound of a domain and condition, r, lam, p, start) of each series spectral_series sizes
+SERIES = {
+    "truncation": (lambda domain, bc: truncation_error_closed_form(domain, bc, 1.0, 0.6, 160), 0.6, 1.0, 2, 160),
+    "l2": (_l2_total, 0.0, 1.0, 2, 0),
+    "hs-embedding": (lambda domain, bc: hs_embedding_bound(domain, bc, 1.1), 2.1, 1.0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("bc", [neumann(), dirichlet(), robin(0.5)], ids=["neumann", "dirichlet", "robin"])
+@pytest.mark.parametrize("series", sorted(SERIES))
+def test_bracket_contains_a_larger_basis_sum(series, bc):
+    call, r, lam, p, start = SERIES[series]
+    got = call(SQUARE, bc)
+    mu = eigenpairs(SQUARE, bc, 1 << 17).mu[start:]
+    big = float(np.sum((1.0 + mu) ** -r * (mu + lam) ** -p))
+    assert got.tail_bound <= 1e-3 * got.value
+    assert got.value * (1 - 1e-12) <= big <= (got.value + got.tail_bound) * (1 + 1e-12)
+
+
+def test_series_basis_doubles_from_256_until_the_tail_is_small(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(convergence, "eigenpairs", lambda d, bc, n: sizes.append(n) or eigenpairs(d, bc, n))
+    terms, tail = spectral_series(SQUARE, dirichlet(), 0.0, 1.0, 2)
+    assert sizes == [256, 512, 1024, 2048, 4096] and terms.size == 4096
+    assert tail <= 1e-3 * np.sum(terms)
+    sizes.clear()
+    terms, _ = spectral_series(SQUARE, dirichlet(), 0.6, 1.0, 2, start=300)
+    assert sizes[0] == 301 and [b / a for a, b in zip(sizes, sizes[1:])] == [2] * (len(sizes) - 1)
+    sizes.clear()
+    monkeypatch.setattr(convergence, "_SERIES_CAP", 1000)
+    terms, tail = spectral_series(SQUARE, dirichlet(), 0.0, 1.0, 2)
+    assert sizes == [256, 512, 1000] and tail > 1e-3 * np.sum(terms)
 
 
 @pytest.fixture(scope="module")
@@ -493,10 +530,10 @@ class TestHolder:
 class TestUpperBound:
     def test_hs_embedding_bound_converged(self):
         dom = Rectangle(np.pi, np.pi)
-        small = hs_embedding_bound(dom, neumann(), 1.1, count=2000)
-        big = hs_embedding_bound(dom, neumann(), 1.1, count=8000)
-        assert big.value - small.value <= small.tail_bound
-        assert big.value + big.tail_bound >= small.value
+        hs = hs_embedding_bound(dom, neumann(), 1.1)
+        big = float(np.sum((1.0 + eigenpairs(dom, neumann(), 8000).mu) ** -2.1))
+        assert big - hs.value <= hs.tail_bound
+        assert big >= hs.value
 
     def test_sup_estimate_decreases_under_refinement(self):
         dom = Rectangle(np.pi, np.pi)

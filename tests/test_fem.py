@@ -241,7 +241,7 @@ class TestSolve:
         rng = np.random.default_rng(11)
         b = rng.standard_normal(m.n_nodes)
         u = sysm.solve_checked(b)
-        assert np.abs(sysm.A_full @ u.coefficients - b).max() <= 1e-9 * np.abs(b).max()
+        assert np.abs((sysm.K + lam * sysm.M) @ u.coefficients - b).max() <= 1e-9 * np.abs(b).max()
 
     @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.8)])
     def test_system_matrix_is_built_from_owned_operators(self, bc):
@@ -253,7 +253,7 @@ class TestSolve:
             expected = expected + bc.beta * sysm.R
         else:
             assert sysm.R is None
-        assert np.array_equal(sysm.A_full.toarray(), expected.toarray())
+        assert np.array_equal(sysm.A.toarray(), expected[np.ix_(sysm.free, sysm.free)].toarray())
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda"):
@@ -328,9 +328,11 @@ class TestSolve:
     def test_all_free_solve_skips_the_copy(self, bc):
         m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 4, 3))
         sysm = FactorizedSystem(m, bc, 0.7)
-        assert sysm.restrict(sysm.A_full) is sysm.A_full
-        assert sysm.A is sysm.A_full
-        restricted = sysm.A_full[np.ix_(sysm.free, sysm.free)].tocsc()
+        full = sysm.K + 0.7 * sysm.M
+        if bc.kind == "robin":
+            full = full + bc.beta * sysm.R
+        assert sysm.restrict(sysm.M) is sysm.M
+        restricted = full[np.ix_(sysm.free, sysm.free)].tocsc()
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(sysm.A, attr), getattr(restricted, attr))
         rng = np.random.default_rng(9)
@@ -350,7 +352,7 @@ class TestSolve:
             "interval": (build_interval_mesh(0.0, 2.0, 15), robin(1.5)),
         }[case]
         sysm = FactorizedSystem(m, bc, 0.7)
-        operators = [sysm.K, sysm.M, sysm.A_full, sysm.A] + ([sysm.R] if sysm.R is not None else [])
+        operators = [sysm.K, sysm.M, sysm.A] + ([sysm.R] if sysm.R is not None else [])
         for S in operators:
             assert S.format == "csr" and S.has_sorted_indices
             assert S.indices.dtype == np.int32 and S.indptr.dtype == np.int32

@@ -52,6 +52,12 @@ class TestGaussianStream:
         parts = np.concatenate([s.normals(3), s.normals(1), s.normals(5)])
         assert np.array_equal(parts, GaussianStream(9, 2).normals(9))
 
+    def test_zero_normals_leave_the_counter(self):
+        s = GaussianStream(9, 2)
+        s.normals(3)
+        assert s.normals(0).shape == (0,) and s.counter == 3
+        assert np.array_equal(s.normals(4), GaussianStream(9, 2).normals(7)[3:])
+
     def test_distinct_streams_differ(self):
         a = GaussianStream(7, 0).normals(1000)
         b = GaussianStream(7, 1).normals(1000)
