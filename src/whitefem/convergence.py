@@ -116,20 +116,35 @@ def _mode_factors(basis: EigenBasis) -> tuple[tuple[IntervalEigenBasis, np.ndarr
 
 class _LevelContext(FactorizedSystem):
     """A level's factorized system, with the quadrature data reused across
-    all mode loads.
+    all mode loads, and every mode array kept in the row order of A's factor.
+
+    A slab of modes is one C-ordered (n_free + 1, modes) array, its solutions
+    (for the quadrature rule, first its loads).  Row r holds node rows[r],
+    rows = free[_free_order]; the last row is zero and stands in for every
+    Dirichlet node, and `node_rows` maps each node to its row.  Loads are
+    formed in those rows (interpolation loads from M's rows in that order),
+    and SuperLU's output is stored as it comes, so no solve gathers, scatters
+    or extends; the error reduction reads the slab through a per-element map
+    of rows.  Each value is the one the node-order route computes, in the
+    same order.
 
     Quantities at the quadrature points are formed one chunk of `_CHUNK`
     elements at a time, so no (modes x quadrature points) array is built.
     Mode values are gathered from the 1D modes at the distinct quadrature
     coordinates of each axis; they equal `basis.evaluate` at the points,
-    which are not kept.  A slab of modes holds one (n_nodes, modes) array,
-    its solutions (for the quadrature rule, first its loads); its other
-    arrays span one chunk of elements, _SOLVE_CHUNK modes or one axis's
-    distinct coordinates.
+    which are not kept.  Besides its slab, a slab's arrays span one chunk of
+    elements, _SOLVE_CHUNK modes or one axis's distinct coordinates.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
         super().__init__(mesh, bc, lam)
+        self.rows = self.free[self._free_order]
+        self.node_rows = np.full(mesh.n_nodes, self.n_free)
+        self.node_rows[self.rows] = np.arange(self.n_free)
+        self._element_rows = self.node_rows[mesh.elements]
+        # A CSR row gather keeps each row's entries in their stored order, so
+        # every value of M_rows @ v is summed as the same value of M @ v is.
+        self._M_rows = self.M[self.rows]
         points, self.qweights, self.bary = quadrature_points(mesh)
         # per axis: distinct quadrature coordinates, and each point's index
         self._coords = []
@@ -171,23 +186,23 @@ class _LevelContext(FactorizedSystem):
 
     def _error_sums(self, columns: list[np.ndarray], sols: np.ndarray, fem_op: np.ndarray) -> np.ndarray:
         """Per mode, the quadrature sum of (v_k - f_k)^2: v_k the product of
-        the 1D factors `columns`, f_k the P1 function with coefficients
-        sols[:, k], mapped by fem_op (n_elements, r, dim + 1) from each
-        element's nodal values to its r = q point values, or to one constant
-        partial derivative (r = 1).
+        the 1D factors `columns`, f_k the P1 function whose nodal values are
+        the slab column sols[:, k], mapped by fem_op (n_elements, r, dim + 1)
+        from each element's nodal values to its r = q point values, or to one
+        constant partial derivative (r = 1).
 
-        Per chunk of elements the solution rows are gathered into a buffer
-        and fem_op is applied by one matmul, whose (dim + 1)-term sums are
-        the same under any BLAS thread count; the weighted reduction over
+        Per chunk of elements the elements' slab rows are gathered into a
+        buffer and fem_op is applied by one matmul, whose (dim + 1)-term sums
+        are the same under any BLAS thread count; the weighted reduction over
         the points is an einsum, whose summation order does not depend on it.
         """
-        elements, width = self.mesh.elements, sols.shape[1]
-        rows = np.empty((_CHUNK, elements.shape[1], width))
+        element_rows, width = self._element_rows, sols.shape[1]
+        rows = np.empty((_CHUNK, element_rows.shape[1], width))
         fem = np.empty((_CHUNK, fem_op.shape[1], width))
         errors = np.zeros(width)
         for chunk, diff in self._mode_chunks(columns):
             c = chunk.stop - chunk.start
-            np.take(sols, elements[chunk], axis=0, out=rows[:c], mode="clip")
+            np.take(sols, element_rows[chunk], axis=0, out=rows[:c], mode="clip")
             diff -= np.matmul(fem_op[chunk], rows[:c], out=fem[:c])
             diff *= diff
             errors += np.einsum("cq,cqB->B", self.qweights[chunk], diff)
@@ -195,12 +210,14 @@ class _LevelContext(FactorizedSystem):
 
     def quadrature_loads(self, basis: EigenBasis, k0: int, k1: int) -> np.ndarray:
         """Dual loads b_i = integral of e_k phi_i for modes k0..k1, by element
-        quadrature; shape (n_nodes, k1 - k0)."""
+        quadrature, as a slab: shape (n_free + 1, k1 - k0) in factor rows.
+        Each chunk's sums are added straight into its nodes' rows; the
+        Dirichlet nodes' land in the last row, which is then zeroed."""
         import scipy.sparse as sp
 
         m_el, q = self.qweights.shape
         if self._scatter is None:
-            # per chunk: its nodes, and the map from its quadrature points to them
+            # per chunk: its nodes' slab rows, and the map from its quadrature points to them
             self._scatter = []
             for c0 in range(0, m_el, _CHUNK):
                 elements = self.mesh.elements[c0:c0 + _CHUNK]
@@ -210,30 +227,34 @@ class _LevelContext(FactorizedSystem):
                 cols = np.broadcast_to(np.arange(c * q).reshape(c, q, 1), (c, q, k))
                 vals = np.broadcast_to(self.bary[None], (c, q, k))
                 scatter = sp.csr_array((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nodes.size, c * q))
-                self._scatter.append((nodes, scatter))
-        loads = np.zeros((self.mesh.n_nodes, k1 - k0))
+                self._scatter.append((self.node_rows[nodes], scatter))
+        loads = np.zeros((self.n_free + 1, k1 - k0))
         columns = self._mode_columns(basis, k0, k1)
-        for (chunk, values), (nodes, scatter) in zip(self._mode_chunks(columns), self._scatter):
+        for (chunk, values), (rows, scatter) in zip(self._mode_chunks(columns), self._scatter):
             values *= self.qweights[chunk][:, :, None]
-            loads[nodes] += scatter @ values.reshape(-1, k1 - k0)
+            loads[rows] += scatter @ values.reshape(-1, k1 - k0)
+        loads[-1] = 0.0
         return loads
 
     def solutions(self, basis: EigenBasis, k0: int, k1: int, load_rule: str = "interpolation") -> np.ndarray:
-        """Discrete solutions for the loads of modes k0..k1, shape (n_nodes, k1 - k0).
+        """Discrete solutions for the loads of modes k0..k1, as a slab: shape
+        (n_free + 1, k1 - k0) in factor rows, the last row zero.
 
         load_rule selects how mode loads enter the discrete solve:
         "interpolation" uses M times the nodal interpolant, "quadrature" the
         element-quadrature projection (the genuine Ritz-Galerkin load).
 
-        The C-ordered result is the only (n_nodes, k1 - k0) array: it is
-        filled _SOLVE_CHUNK columns at a time, the chunks the whole block's
-        solve would take, so every value has the bits of that solve.  An
-        interpolation chunk's nodal values are evaluated, multiplied by M and
-        solved into the chunk's columns; quadrature loads are solved in place.
+        The slab is the only array of its width: it is filled _SOLVE_CHUNK
+        columns at a time, the chunks solve_free would take, so every value
+        has the bits of that solve.  An interpolation chunk's nodal values
+        are evaluated, multiplied by M's rows in factor order and solved into
+        the chunk's columns; quadrature loads are solved in place.  A chunk
+        of one column takes solve_free's transposed sweep.
         """
-        width = k1 - k0
+        width, n = k1 - k0, self.n_free
         if load_rule == "interpolation":
-            sols = np.empty((self.mesh.n_nodes, width))
+            sols = np.empty((n + 1, width))
+            sols[-1] = 0.0
         elif load_rule == "quadrature":
             sols = self.quadrature_loads(basis, k0, k1)
         else:
@@ -241,10 +262,13 @@ class _LevelContext(FactorizedSystem):
         for c0 in range(0, width, _SOLVE_CHUNK):
             cols = slice(c0, min(c0 + _SOLVE_CHUNK, width))
             if load_rule == "interpolation":
-                load = self.M @ basis.evaluate(self.mesh.nodes, k0 + cols.start, k0 + cols.stop).T
+                load = self._M_rows @ basis.evaluate(self.mesh.nodes, k0 + cols.start, k0 + cols.stop).T
             else:
-                load = sols[:, cols]
-            sols[:, cols] = self.solve(load)
+                load = sols[:n, cols]
+            if load.shape[1] == 1:
+                sols[:n, c0] = self._lu.solve(load[:, 0], trans="T")
+            else:
+                sols[:n, cols] = self._lu.solve(load)
             del load  # freed before the next chunk's loads are evaluated
         return sols
 
@@ -262,8 +286,9 @@ class _LevelContext(FactorizedSystem):
     def l2_errors(self, basis: EigenBasis, lam: float, k0: int, k1: int, sols: np.ndarray,
                   deriv: int | None = None) -> np.ndarray:
         """||T e_k - u_k||_L2^2 for modes k0..k1 and P1 functions u_k with
-        coefficients sols[:, k - k0], by element quadrature (_error_sums);
-        with deriv = d, the same for the partial derivatives along axis d.
+        coefficients in the slab column sols[:, k - k0], by element quadrature
+        (_error_sums); with deriv = d, the same for the partial derivatives
+        along axis d.
         """
         columns = self._mode_columns(basis, k0, k1, deriv)
         # the exact solve T e_k = e_k / (mu_k + lam), applied to one 1D factor
@@ -297,9 +322,10 @@ def deterministic_fem_error(
 
     Modes are summed in blocks of 256 (_BLOCK), one weighted dot per level
     and block, and solved and reduced in slabs of 128 (_SLAB).  Per level and
-    slab, the only array of that width is the (n_nodes, 128) solution array
-    of _LevelContext.solutions; loads and solves pass through it 32 columns
-    at a time.
+    slab, the only array of that width is the (n_free + 1, 128) solution slab
+    of _LevelContext.solutions, in the row order of the level's factor from
+    load to error reduction; loads and solves pass through it 32 columns at
+    a time.  Each error has the bits of the node-order computation.
 
     A level's _LevelContext (its factor, K, M, A and quadrature tables) is
     built by its first block.  With a fixed basis_count it is dropped after
@@ -376,13 +402,16 @@ def spectral_series(domain: ModelDomain, bc: BoundaryCondition, r: float, lam: f
     """Terms (1 + mu_k)^-r (mu_k + lam)^-p and the spectral_tail_bound on the
     sum past them.  The basis starts at 256 modes and at least start + 1, and
     doubles until the bound is at most SERIES_REL of sum(terms[start:]) or it
-    holds 2^20 modes; only at that cap can the bound be larger."""
+    holds 2^20 modes; only at that cap can the bound be larger.  A bound that
+    is not finite returns at once: it is infinite at every size exactly when
+    the series diverges (r + p <= dim / 2)."""
     count = max(_SERIES_START, start + 1)
     while True:
         mu = eigenpairs(domain, bc, count).mu
         terms = (1.0 + mu) ** -r * (mu + lam) ** -p
         tail = spectral_tail_bound(domain, bc, float(mu[-1]), r, lam, p)
-        if tail <= SERIES_REL * np.sum(terms[start:]) or count >= _SERIES_CAP:
+        # written so that NaN returns, as inf does
+        if not tail < np.inf or tail <= SERIES_REL * np.sum(terms[start:]) or count >= _SERIES_CAP:
             return terms, tail
         count = min(2 * count, _SERIES_CAP)
 
@@ -490,7 +519,7 @@ def h1_error_sup_estimate(
     """
     basis = eigenpairs(domain, bc, n_loads)
     ctx = _LevelContext(mesh, bc, lam)
-    sols = ctx.solutions(basis, 0, n_loads, load_rule="quadrature")  # (n_nodes, B)
+    sols = ctx.solutions(basis, 0, n_loads, load_rule="quadrature")  # (n_free + 1, B) slab
     # ||u^f - u^f_h||_H1^2 per load: the L2 part, then each partial derivative's
     errors = ctx.l2_errors(basis, lam, 0, n_loads, sols)
     for d in range(mesh.dim):

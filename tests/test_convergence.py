@@ -66,9 +66,9 @@ class TestDeterministicFemError:
         dom = Rectangle(np.pi, np.pi)
         basis = eigenpairs(dom, neumann(), 64)
         ctx = _LevelContext(mesh, neumann(), 1.0)
-        # the exact solve at the nodes, in place of the FEM solve
+        # the exact solve at the nodes, in place of the FEM solve, in the slab's factor rows
         exact = basis.evaluate(mesh.nodes, 0, 64).T / (basis.mu[None, :64] + 1.0)
-        errs = ctx.l2_errors(basis, 1.0, 0, 64, exact)
+        errs = ctx.l2_errors(basis, 1.0, 0, 64, _slab(ctx, exact))
         # remaining error is only P1 interpolation of the exact solution
         raw = ctx.l2_errors(basis, 1.0, 0, 64, ctx.solutions(basis, 0, 64))
         assert (errs <= raw + 1e-15).all()
@@ -128,6 +128,14 @@ def _flat_points(mesh):
     return quadrature_points(mesh)[0].reshape(-1, mesh.dim)
 
 
+def _slab(ctx, x):
+    """Node-order rows x as a slab of ctx: row r holds node ctx.rows[r], and
+    the last row, which every Dirichlet node reads, is zero."""
+    slab = np.zeros((ctx.n_free + 1, *x.shape[1:]))
+    slab[:-1] = x[ctx.rows]
+    return slab
+
+
 def _unchunked_errors(ctx, basis, lam, k0, k1, load_rule=None, sols=None):
     """The error kernel as one formula over all quadrature points at once.
 
@@ -171,14 +179,19 @@ class TestChunkedErrorKernel:
         basis = eigenpairs(domain, bc, 160)
         ctx = _LevelContext(mesh, bc, lam)
         if load_rule == "fem_apply":
-            # the exact solve at the nodes, in place of the FEM solve
+            # the exact solve at the nodes, in place of the FEM solve; the
+            # slab holds it in factor rows, and node order reads it back
             pts = mesh.nodes[:, 0] if mesh.dim == 1 else mesh.nodes
-            sols = basis.evaluate(pts, k0, k1).T / (basis.mu[None, k0:k1] + lam)
+            sols = _slab(ctx, basis.evaluate(pts, k0, k1).T / (basis.mu[None, k0:k1] + lam))
             got = ctx.l2_errors(basis, lam, k0, k1, sols)
-            want = _unchunked_errors(ctx, basis, lam, k0, k1, sols=sols)
+            want = _unchunked_errors(ctx, basis, lam, k0, k1, sols=sols[ctx.node_rows])
         else:
-            got = ctx.l2_errors(basis, lam, k0, k1, ctx.solutions(basis, k0, k1, load_rule))
+            sols = ctx.solutions(basis, k0, k1, load_rule)
+            got = ctx.l2_errors(basis, lam, k0, k1, sols)
             want = _unchunked_errors(ctx, basis, lam, k0, k1, load_rule)
+        if case == "dirichlet":
+            assert (ctx.node_rows[mesh.boundary_nodes()] == ctx.n_free).all()
+            assert (sols[-1] == 0.0).all()
         assert np.all(want > 0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -204,16 +217,20 @@ class TestStreamedSolutions:
         basis = eigenpairs(domain, bc, 150)
         ctx = _LevelContext(mesh, bc, 1.3)
         pts = mesh.nodes[:, 0] if mesh.dim == 1 else mesh.nodes
-        # widths 70 and 86: neither is a multiple of the 32-column chunk
-        for k0, k1 in ((0, 70), (64, 150)):
+        # widths 70 and 86: neither is a multiple of the 32-column chunk;
+        # width 1: one column, which both solve by the transposed sweep
+        for k0, k1 in ((0, 70), (64, 150), (100, 101)):
             if load_rule == "interpolation":
                 loads = ctx.M @ basis.evaluate(pts, k0, k1).T
             else:
-                loads = ctx.quadrature_loads(basis, k0, k1)
+                # the slab of loads, read back in node order
+                loads = ctx.quadrature_loads(basis, k0, k1)[ctx.node_rows]
             got = ctx.solutions(basis, k0, k1, load_rule)
             want = ctx.solve(loads)
-            assert got.flags.c_contiguous and got.shape == (mesh.n_nodes, k1 - k0)
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert got.flags.c_contiguous and got.shape == (ctx.n_free + 1, k1 - k0)
+            assert got[ctx.node_rows].tobytes() == np.ascontiguousarray(want).tobytes()
+            if case == "dirichlet":
+                assert (got[-1] == 0.0).all()
 
 
 @pytest.mark.parametrize("load_rule", ["interpolation", "quadrature"])
@@ -482,6 +499,17 @@ def test_series_basis_doubles_from_256_until_the_tail_is_small(monkeypatch):
     assert sizes == [256, 512, 1000] and tail > 1e-3 * np.sum(terms)
 
 
+def test_divergent_series_returns_its_first_basis(monkeypatch):
+    # r + p = 1 = dim / 2: the tail bound is infinite at every basis size
+    terms, tail = spectral_series(SQUARE, neumann(), 1.0, 1.0, 0)
+    assert terms.size == 256 and tail == np.inf
+    assert hs_embedding_bound(SQUARE, neumann(), 0.0).tail_bound == np.inf
+    # a NaN bound returns too
+    monkeypatch.setattr(convergence, "spectral_tail_bound", lambda *args: float("nan"))
+    terms, tail = spectral_series(SQUARE, neumann(), 2.1, 1.0, 0)
+    assert terms.size == 256 and np.isnan(tail)
+
+
 @pytest.fixture(scope="module")
 def op():
     return DiscreteSolutionOperator(build_rectangle_mesh(np.pi, np.pi, 16, 16), neumann(), 1.0)
@@ -569,7 +597,7 @@ def _all_at_once_h1_sup(domain, bc, lam, mesh, n_loads):
         grad = np.stack([dex * ey, ex * dey], axis=-1)
     m_el, q = ctx.qweights.shape
     exact_grad = (grad / (basis.mu[:, None, None] + lam)).reshape(n_loads, m_el, q, mesh.dim)
-    fem_grad = np.einsum("mkd,mkB->mdB", element_gradients(mesh), sols[mesh.elements])
+    fem_grad = np.einsum("mkd,mkB->mdB", element_gradients(mesh), sols[ctx.node_rows][mesh.elements])
     gdiff = np.moveaxis(exact_grad, 0, -1) - fem_grad[:, None, :, :]  # (m, q, d, B)
     grad_part = np.einsum("mq,mqdB->B", ctx.qweights, gdiff * gdiff)
     return float(np.max(val_part + grad_part))
@@ -590,7 +618,7 @@ class TestMcDeterministicAgreement:
         ctx = _LevelContext(mesh, bc, lam)
 
         modes_q = basis.evaluate(_flat_points(mesh), 0, J)  # (J, nq)
-        loads = ctx.quadrature_loads(basis, 0, J)  # (n_nodes, J)
+        loads = ctx.quadrature_loads(basis, 0, J)[ctx.node_rows]  # (n_nodes, J), from the slab
         w_q = ctx.qweights.ravel()
         weights = (1.0 + basis.mu) ** -r
 

@@ -472,6 +472,28 @@ class TestNestedDissectionFactor:
             assert x.shape == ref.shape
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.8)], ids=["dirichlet", "neumann", "robin"])
+    @pytest.mark.parametrize("kind", ["rectangle", "interval"])
+    def test_factor_input_equals_the_coo_route(self, kind, bc):
+        # The permuted matrix built through COO triples, as its own
+        # reference: SuperLU's factors of it have the bytes of the factors
+        # _ordered_splu makes of its row-gathered input.
+        mesh = {"rectangle": refine_uniform(build_rectangle_mesh(np.pi, 2.0, 9, 6)),
+                "interval": build_interval_mesh(0.0, 2.0, 150)}[kind]
+        sysm = FactorizedSystem(mesh, bc, 0.9)
+        for A, order in ((sysm.A, sysm._free_order), (sysm.M, sysm.order)):
+            position = np.empty(order.size, dtype=np.int64)
+            position[order] = np.arange(order.size)
+            coo = A.tocoo()
+            permuted = sp.csc_matrix((coo.data, (position[coo.row], position[coo.col])), shape=A.shape)
+            want = splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+            got = fem._ordered_splu(A, order)
+            for g, w in ((got.L, want.L), (got.U, want.U)):
+                for name in ("data", "indices", "indptr"):
+                    assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+            assert got.perm_r.tobytes() == want.perm_r.tobytes()
+            assert got.perm_c.tobytes() == want.perm_c.tobytes()
+
     def test_rejects_off_diagonal_pivot(self):
         A = sp.csc_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="not SPD"):
