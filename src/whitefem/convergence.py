@@ -119,14 +119,14 @@ class _LevelContext(FactorizedSystem):
     all mode loads, and every mode array kept in the row order of A's factor.
 
     A slab of modes is one C-ordered (n_free + 1, modes) array, its solutions
-    (for the quadrature rule, first its loads).  Row r holds node rows[r],
-    rows = free[_free_order]; the last row is zero and stands in for every
+    (for the quadrature rule, first its loads).  Row r holds node free[r],
+    row r of A's factor; the last row is zero and stands in for every
     Dirichlet node, and `node_rows` maps each node to its row.  Loads are
     formed in those rows (interpolation loads from M's rows in that order),
-    and SuperLU's output is stored as it comes, so no solve gathers, scatters
-    or extends; the error reduction reads the slab through a per-element map
-    of rows.  Each value is the one the node-order route computes, in the
-    same order.
+    solve_free solves them as they come, and its output is stored as it
+    comes, so no solve gathers, scatters or extends; the error reduction
+    reads the slab through a per-element map of rows.  Each value is the one
+    the node-order route computes, in the same order.
 
     Quantities at the quadrature points are formed one chunk of `_CHUNK`
     elements at a time, so no (modes x quadrature points) array is built.
@@ -138,13 +138,12 @@ class _LevelContext(FactorizedSystem):
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
         super().__init__(mesh, bc, lam)
-        self.rows = self.free[self._free_order]
         self.node_rows = np.full(mesh.n_nodes, self.n_free)
-        self.node_rows[self.rows] = np.arange(self.n_free)
+        self.node_rows[self.free] = np.arange(self.n_free)
         self._element_rows = self.node_rows[mesh.elements]
         # A CSR row gather keeps each row's entries in their stored order, so
         # every value of M_rows @ v is summed as the same value of M @ v is.
-        self._M_rows = self.M[self.rows]
+        self._M_rows = self.M[self.free]
         points, self.qweights, self.bary = quadrature_points(mesh)
         # per axis: distinct quadrature coordinates, and each point's index
         self._coords = []
@@ -244,12 +243,11 @@ class _LevelContext(FactorizedSystem):
         "interpolation" uses M times the nodal interpolant, "quadrature" the
         element-quadrature projection (the genuine Ritz-Galerkin load).
 
-        The slab is the only array of its width: it is filled _SOLVE_CHUNK
-        columns at a time, the chunks solve_free would take, so every value
-        has the bits of that solve.  An interpolation chunk's nodal values
-        are evaluated, multiplied by M's rows in factor order and solved into
-        the chunk's columns; quadrature loads are solved in place.  A chunk
-        of one column takes solve_free's transposed sweep.
+        The slab is the only array of its width: it is filled by one
+        solve_free call per _SOLVE_CHUNK columns, each returning SuperLU's
+        own array, so a chunk of one column takes the transposed sweep.  An
+        interpolation chunk's nodal values are evaluated and multiplied by
+        M's rows in factor order; quadrature loads are solved in place.
         """
         width, n = k1 - k0, self.n_free
         if load_rule == "interpolation":
@@ -265,10 +263,7 @@ class _LevelContext(FactorizedSystem):
                 load = self._M_rows @ basis.evaluate(self.mesh.nodes, k0 + cols.start, k0 + cols.stop).T
             else:
                 load = sols[:n, cols]
-            if load.shape[1] == 1:
-                sols[:n, c0] = self._lu.solve(load[:, 0], trans="T")
-            else:
-                sols[:n, cols] = self._lu.solve(load)
+            sols[:n, cols] = self.solve_free(load)
             del load  # freed before the next chunk's loads are evaluated
         return sols
 

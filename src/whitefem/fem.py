@@ -148,30 +148,29 @@ def assemble_boundary_mass(mesh: Mesh) -> sp.csr_array:
 # -- factorized solves -------------------------------------------------------
 
 
-def _ordered_splu(A: sp.sparray, order: np.ndarray):
-    """SuperLU factor of A[order][:, order], for a symmetric A, with diagonal pivots only.
+def _permuted(S: sp.sparray, keep: np.ndarray) -> sp.csr_array:
+    """S[keep][:, keep] as a CSR array with each row's indices sorted.
 
-    The permuted matrix is built without a COO round trip: the CSR row
-    gather A[order], its column indices relabelled through the inverse of
-    order, and each row's entries sorted.  Those CSR arrays are the CSC
-    arrays of A[order][:, order], A being symmetric, and equal the ones a
-    COO conversion sorts into, 1.7-2x faster than that conversion at 4,225
-    to 66,049 nodes (2-core x86-64 VM).  SuperLU factors that matrix in its
-    own (NATURAL) column order.  With diagonal pivoting forced, the factor
-    of a symmetric positive definite matrix is its L D L^T factorization.
-    Raises ValueError when a pivot leaves the diagonal, which happens only
-    on a zero pivot.  The pivots' signs are not read here: reading them
-    makes lu keep CSC copies of its L and U factors for as long as lu lives.
+    For a symmetric S these arrays are also the CSC arrays of the same
+    matrix, the form SuperLU reads, so the result is factored as it is.
     """
-    rows = sp.csr_array(A)[order]
-    position = np.empty(order.size, dtype=rows.indices.dtype)
-    position[order] = np.arange(order.size)
-    rows.indices = position[rows.indices]
-    rows.has_sorted_indices = False
-    rows.sort_indices()
-    permuted = sp.csc_array((rows.data, rows.indices, rows.indptr), shape=A.shape)
-    lu = splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-              options=dict(SymmetricMode=True))
+    P = sp.csr_array(S)[keep][:, keep]
+    P.sort_indices()
+    return P
+
+
+def _spd_splu(A: sp.csr_array):
+    """SuperLU factor of a symmetric A, given as its sorted CSR arrays, in
+    A's own (NATURAL) order and with diagonal pivots only.
+
+    With diagonal pivoting forced, the factor of a symmetric positive
+    definite matrix is its L D L^T factorization.  Raises ValueError when a
+    pivot leaves the diagonal, which happens only on a zero pivot.  The
+    pivots' signs are not read here: reading them makes lu keep CSC copies
+    of its L and U factors for as long as lu lives.
+    """
+    lu = splu(sp.csc_array((A.data, A.indices, A.indptr), shape=A.shape), permc_spec="NATURAL",
+              diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise ValueError("factorization pivoted off the diagonal: matrix is not SPD")
     return lu
@@ -180,18 +179,19 @@ def _ordered_splu(A: sp.sparray, order: np.ndarray):
 def sparse_cholesky(M: sp.sparray, order: np.ndarray) -> sp.csr_array:
     """Sparse square root F of a symmetric positive definite M, F F^T = M.
 
-    F is the Cholesky factor L of M[order][:, order] with its rows relabelled
-    to node order: row order[k] of F is row k of L, so F[order] = L is lower
-    triangular and column k of F belongs to factor position k.  The ordering
-    is the caller's (the nested dissection of :func:`nested_dissection`), so
-    F is a deterministic function of M and the mesh.  L is scaled and
-    relabelled in place once SuperLU's own storage is released, then
-    converted to CSR: rows in node order, each with ascending column
-    indices.  F @ z then gathers z along each row instead of scattering into
-    the result, in the same summation order, so it has the bits of the CSC
-    product.  Raises ValueError when a pivot is not positive.
+    F is the Cholesky factor L of M[order][:, order] (_permuted, factored by
+    _spd_splu) with its rows relabelled to node order: row order[k] of F is
+    row k of L, so F[order] = L is lower triangular and column k of F belongs
+    to factor position k.  The ordering is the caller's (the nested
+    dissection of :func:`nested_dissection`), so F is a deterministic
+    function of M and the mesh.  L is scaled and relabelled in place once
+    SuperLU's own storage is released, then converted to CSR: rows in node
+    order, each with ascending column indices.  F @ z then gathers z along
+    each row instead of scattering into the result, in the same summation
+    order, so it has the bits of the CSC product.  Raises ValueError when a
+    pivot is not positive.
     """
-    lu = _ordered_splu(M, order)
+    lu = _spd_splu(_permuted(M, order))
     d = lu.U.diagonal()
     if not (d > 0).all():
         raise ValueError("matrix is not positive definite (nonpositive pivot)")
@@ -312,21 +312,18 @@ class FactorizedSystem:
     """The one solver object of a mesh: A c = b on the free degrees of freedom.
 
     The single owner of the discrete operators: K, M and (Robin only) R are
-    assembled here once, with 32-bit indices, and A is K + lam M (+ beta R) on
-    the free degrees of freedom.  For Dirichlet problems the boundary
-    rows/columns are eliminated, and `extend` puts a solution back on all
-    nodes with exact zeros on the boundary.  A is the one sorted CSR copy of
-    the reduced matrix; it serves the residuals and the factorization.
-    `order` is the nested-dissection ordering of all nodes (from the
-    coordinates and M's pattern), the one the load factor also uses.  A is
-    factored once, on the first solve, as the symmetric positive definite
-    matrix it is, under that ordering with the Dirichlet nodes dropped and the
-    rest renumbered to free positions; with every node free that equals
-    `order`.  Every later backsolve reuses that factor.  Because A is not
-    factored here, a caller can build M's load factor first, and the transient
-    copies of that factorization are freed before A's factor exists.  The
-    operators and the ordering do not change after construction.  The sampling
-    operator and the mode sums' level context are subclasses, not wrappers.
+    assembled here once, with 32-bit indices.  `order` is the
+    nested-dissection ordering of all nodes, the one the load factor also
+    uses, and `free` lists the free nodes in that order (for Dirichlet, the
+    interior ones), so free position k is row k of A's factor under every
+    boundary condition.  A is K + lam M (+ beta R) on `free`, one sorted CSR
+    copy that serves the residuals and, as it is, the factorization.  A is
+    factored on the first solve, so a caller can build M's load factor first
+    and free its transient copies before A's factor exists.  Free-dof vectors
+    (those of `solve_free` and `backward_error`) are in the order of `free`;
+    `extend` and `solve` give node order.  Nothing changes after
+    construction.  The sampling operator and the mode sums' level context
+    are subclasses, not wrappers.
     """
 
     def __init__(self, mesh: Mesh, bc: BoundaryCondition, lam: float):
@@ -338,86 +335,67 @@ class FactorizedSystem:
         is_free = np.ones(mesh.n_nodes, dtype=bool)
         if bc.kind == DIRICHLET:
             is_free[mesh.boundary_nodes()] = False
-        self.free = np.nonzero(is_free)[0]
-        self.n_free = self.free.size
+        self.n_free = int(is_free.sum())
         if self.n_free == 0:
             raise ValueError("no free degrees of freedom (Dirichlet on a boundary-only mesh)")
         self.K = assemble_stiffness(mesh)
         self.M = assemble_mass(mesh)
         self.R = assemble_boundary_mass(mesh) if bc.kind == ROBIN else None
+        # M's pattern is the element graph.
+        self.order = nested_dissection(mesh, self.M)
+        self.free = self.order[is_free[self.order]]
         A = self.K + lam * self.M
         if self.R is not None:
             A = A + bc.beta * self.R
-        self.A = self.restrict(A)
-        # M's pattern is the element graph.  A = K + lam M (+ beta R) is SPD
-        # because lam > 0, beta > 0 and every element measure is positive,
-        # all checked before this.
-        self.order = nested_dissection(mesh, self.M)
-        # A's ordering: each free node in `order`, named by its free position
-        self._free_order = (np.cumsum(is_free) - 1)[self.order[is_free[self.order]]]
+        # SPD because lam > 0, beta > 0 and every element measure is
+        # positive, all checked before this.
+        self.A = _permuted(A, self.free)
 
     @cached_property
     def _lu(self):
-        """SuperLU factor of A under `_free_order`, built by the first solve."""
-        return _ordered_splu(self.A, self._free_order)
-
-    def restrict(self, S: sp.sparray) -> sp.sparray:
-        """S on the free rows and columns; S itself when every node is free."""
-        if self.n_free == self.mesh.n_nodes:
-            return S
-        return S[np.ix_(self.free, self.free)]
+        """SuperLU factor of A, built by the first solve."""
+        return _spd_splu(self.A)
 
     def solve_free(self, b_free: np.ndarray) -> np.ndarray:
-        """Solve on free dofs; accepts a vector or a matrix of columns.
+        """Solve a vector or a matrix of columns, in the order of `free`, as it comes.
 
-        A single column (a vector, or a matrix with one column) is gathered
-        into the factor's ordering as a vector, solved and scattered back.
-        Each block of _SOLVE_CHUNK columns of a wider matrix is gathered in
-        the output's own columns, solved, and scattered back, so no permuted
-        copy of a wide b_free is made.
-
-        The permuted A is symmetric, so A^T x = b is the same system, and a
-        single column is solved by SuperLU's transposed sweep: it reads U's
-        columns as dot products (gathers) where the normal sweep scatters
-        updates.  For one column that took 0.65-0.90 of the normal sweep's
-        time on meshes of 289 to 66,049 nodes, and agreed with it to 1e-15
-        relative.  From two columns on the normal sweep is as fast or faster
-        (the transposed one took 0.91-1.03x its time at 2 columns, 1.12x at 6,
-        1.2-1.4x at 32 and 256, 2.0x at 32 columns of 66,049 unknowns), so
-        wider blocks keep it.
+        A single column (a vector, or a matrix with one column) is solved by
+        SuperLU's transposed sweep: A is symmetric, so A^T x = b is the same
+        system, and that sweep reads U's columns as dot products (gathers)
+        where the normal sweep scatters updates.  For one column it took
+        0.65-0.90 of the normal sweep's time on meshes of 289 to 66,049
+        nodes, and agreed with it to 1e-15 relative.  From two columns on the
+        normal sweep is as fast or faster (the transposed one took 0.91-1.03x
+        its time at 2 columns, 1.12x at 6, 1.2-1.4x at 32 and 256, 2.0x at 32
+        columns of 66,049 unknowns), so wider inputs keep it.  Up to
+        _SOLVE_CHUNK columns, SuperLU's own array is returned; wider inputs
+        are solved in blocks of that many, a trailing one-column block by the
+        normal sweep too.
         """
-        order = self._free_order
-        cols = b_free.reshape(b_free.shape[0], -1)
-        if cols.shape[1] == 1:
-            x = np.empty(cols.shape[0])
-            x[order] = self._lu.solve(cols[order, 0], trans="T")
-            return x.reshape(b_free.shape)
-        x = np.empty(cols.shape, order="F")
-        for start in range(0, cols.shape[1], _SOLVE_CHUNK):
-            stop = start + _SOLVE_CHUNK
-            block = x[:, start:stop]
-            # order is a permutation, so "clip" changes no index; unlike the
-            # default mode it lets take write into block without a buffer.
-            np.take(cols[:, start:stop], order, axis=0, out=block, mode="clip")
-            x[order, start:stop] = self._lu.solve(block)
-        return x.reshape(b_free.shape)
+        if b_free.ndim == 1 or b_free.shape[1] == 1:
+            return self._lu.solve(b_free.reshape(-1), trans="T").reshape(b_free.shape)
+        if b_free.shape[1] <= _SOLVE_CHUNK:
+            return self._lu.solve(b_free)
+        x = np.empty(b_free.shape, order="F")
+        for start in range(0, b_free.shape[1], _SOLVE_CHUNK):
+            block = slice(start, start + _SOLVE_CHUNK)
+            x[:, block] = self._lu.solve(b_free[:, block])
+        return x
 
     def extend(self, x_free: np.ndarray) -> np.ndarray:
-        """Rows on the free nodes (a vector or columns) extended to all nodes
-        by zeros on the Dirichlet nodes; x_free itself when every node is free."""
-        if self.n_free == self.mesh.n_nodes:
-            return x_free
+        """Rows in the order of `free` (a vector or columns) as node-order
+        rows on all nodes, zero on the Dirichlet nodes."""
         x = np.zeros((self.mesh.n_nodes, *x_free.shape[1:]))
         x[self.free] = x_free
         return x
 
     def solve(self, load: np.ndarray) -> np.ndarray:
-        """Full-length solution coefficients for a full-length dual load."""
+        """Node-order solution coefficients for a node-order dual load."""
         load = np.asarray(load, dtype=np.float64)
         if load.shape[0] != self.mesh.n_nodes:
             raise ValueError("load vector length does not match node count")
         # extended after the solve, whose working arrays are then freed
-        return self.extend(self.solve_free(load if self.n_free == self.mesh.n_nodes else load[self.free]))
+        return self.extend(self.solve_free(load[self.free]))
 
     @cached_property
     def _norm_inf(self) -> float:
@@ -425,7 +403,8 @@ class FactorizedSystem:
         return float(abs(self.A).sum(axis=1).max())
 
     def backward_error(self, c_free: np.ndarray, b_free: np.ndarray) -> float:
-        """Normwise backward error ||A c - b|| / (||A|| ||c|| + ||b||) of a solve.
+        """Normwise backward error ||A c - b|| / (||A|| ||c|| + ||b||) of a
+        solve, for c_free and b_free in the order of `free`.
 
         Vector norms are Euclidean and ||A|| is ||A||_inf, which bounds
         ||A||_2 for the symmetric A.  A backward-stable solve keeps this near

@@ -48,7 +48,6 @@ class DiscreteSolutionOperator(FactorizedSystem):
         # is factored before that, so the transient copies of M's
         # factorization are freed before A's factor takes its memory.
         self.sampler = LoadSampler(mesh, self.M, self.order)
-        self.M_free = self.restrict(self.M).tocsr()
         self._last_probe = None  # [key, W, G or None] of the last point set
         self._check_factorization()
 
@@ -59,7 +58,8 @@ class DiscreteSolutionOperator(FactorizedSystem):
         self.check_backward_error(self.solve_free(probe), probe, what="factorization probe")
 
     def probe(self, points) -> np.ndarray:
-        """W = A^{-1} P^T (n_free, p) for a point set, from one block solve.
+        """W = A^{-1} P^T (n_free, p) for a point set, from one block solve,
+        with rows in the order of `free`.
 
         The points are located once and the p columns are solved together.
         The last point set's result is kept, keyed by the shape and bytes of
@@ -132,13 +132,14 @@ def path_point_values(G: np.ndarray, n: int, stream: GaussianStream) -> np.ndarr
 def exact_covariances(op: DiscreteSolutionOperator, points) -> np.ndarray:
     """Cov(X_h(x_i), X_h(x_j)) = (W^T M W)_ij for W = A^{-1} P^T, exactly.
 
-    Entry (i, j) is W[:, i] . (M W)[:, j], summed by einsum's own loops, not
-    a BLAS product, so the sum order does not depend on the thread count.
-    Dirichlet boundary points give 0 rows and columns because their basis
-    support is entirely on eliminated rows.
+    W is extended to all nodes (zero on the Dirichlet nodes) and contracted
+    with M in node order.  Entry (i, j) is W[:, i] . (M W)[:, j], summed by
+    einsum's own loops, not a BLAS product, so the sum order does not depend
+    on the thread count.  Dirichlet boundary points give 0 rows and columns
+    because their basis support is entirely on eliminated rows.
     """
-    W = op.probe(points)
-    return np.einsum("ni,nj->ij", W, op.M_free @ W)
+    W = op.extend(op.probe(points))
+    return np.einsum("ni,nj->ij", W, op.M @ W)
 
 
 def exact_discrete_covariance(op: DiscreteSolutionOperator, x, y) -> float:

@@ -220,17 +220,28 @@ def _count_1d_upto(L: float, bc: BoundaryCondition, R: float) -> int:
 
 
 def _rectangle_eigenbasis(domain: Rectangle, bc: BoundaryCondition, count: int) -> RectangleEigenBasis:
-    R = max(4.0 * np.pi * count / domain.measure, 16.0 / domain.measure)
+    """Every 2D eigenvalue up to R, from the 1D ones: each axis counts its
+    modes up to R less the other axis's ground state.  R starts at the Weyl
+    estimate and grows by 1.6, but never past row[d], the other ground state
+    plus the eigenvalue of count + 2 modes along axis d; that row alone holds
+    count + 2 modes, so each 1D basis stays O(count) on thin rectangles."""
+    sides = (domain.lx, domain.ly)
+    ground = [_interval_eigenbasis(Interval(0.0, L), bc, 1).mu[0] for L in sides]
+    row = [ground[1 - d] + np.square(np.pi * (count + 2) / L) for d, L in enumerate(sides)]
+    if not min(row) < np.inf:
+        raise ValueError(f"the eigenvalues of the {domain.lx} x {domain.ly} rectangle overflow")
+    R = min(max(4.0 * np.pi * count / domain.measure, 16.0 / domain.measure), *row)
     while True:
-        nx = _count_1d_upto(domain.lx, bc, R)
-        ny = _count_1d_upto(domain.ly, bc, R)
+        # at R = row[d] axis d takes count + 3 modes even where the sum rounds to R
+        nx, ny = (max(_count_1d_upto(L, bc, R - ground[1 - d]), count + 3 if R >= row[d] else 0)
+                  for d, L in enumerate(sides))
         bx = _interval_eigenbasis(Interval(0.0, domain.lx), bc, nx)
         by = _interval_eigenbasis(Interval(0.0, domain.ly), bc, ny)
         mu2d = bx.mu[:, None] + by.mu[None, :]
         ii, jj = np.nonzero(mu2d <= R)
         if ii.size >= count:
             break
-        R *= 1.6
+        R = min(1.6 * R, *row) if R > 0 else min(row)  # R is 0 when the measure overflows
     mu = mu2d[ii, jj]
     order = np.lexsort((jj, ii, mu))
     keep = order[:count]

@@ -684,3 +684,91 @@ def test_readme_experiment_table_matches_the_cli():
         for name in re.findall(r"`(\w+)`", names):
             listed[name] = re.findall(r"`(\w+)`", keys)
     assert listed == {name: list(entry.keys) for name, entry in whitefem.cli._EXPERIMENT_TABLE.items()}
+
+
+GUARD_CONFIGS = Path(__file__).parent / "data" / "byte_guard"
+# Values a mutated key takes.  The size keys take only small values: a large
+# mesh or budget is a separate question (whether sizes should be bounded
+# before allocation), so the sweep stays small and fast.  basis_count = 0
+# asks for the adaptive budget, so it is not small.
+EXTREMES = ("0", "-0", "1e300", "-1e300", str(2**63), "nan", "inf", "", "@x")
+SMALL = ("1", "-1", "2", "", "nan", "@x")
+SIZE_KEYS = ("levels", "samples", "basis_count", "truncations")
+
+
+def _small(value):
+    """Whether a moved value may go to a size key: no integer over 16."""
+    try:
+        return all(abs(int(tok)) <= 16 for tok in value.replace(",", " ").split())
+    except ValueError:
+        return True
+
+
+def config_mutations(rng):
+    """(experiment, name, config lines) for every byte-guard config: each key
+    set to a drawn value, and one line deleted, duplicated or swapped with
+    another, or one key given another key's value."""
+    cases = []
+    for path in sorted(GUARD_CONFIGS.glob("*.cfg")):
+        experiment = path.stem.split("-")[0]
+        lines = path.read_text().splitlines()
+        keyed = [i for i, line in enumerate(lines) if "=" in line]
+        for i in keyed:
+            key, value = (part.strip() for part in lines[i].split("=", 1))
+            if key in SIZE_KEYS:
+                new = str(rng.choice(SMALL))
+            else:
+                new = str(rng.choice(EXTREMES))
+            mutated = lines.copy()
+            mutated[i] = f"{key} = {new}"
+            cases.append((experiment, f"{path.stem}: {key} = {new!r}", mutated))
+        kind = str(rng.choice(["delete", "duplicate", "swap", "move"]))
+        i, j = rng.choice(len(lines), 2, replace=False)
+        mutated = lines.copy()
+        if kind == "delete":
+            mutated.pop(i)
+        elif kind == "duplicate":
+            mutated.insert(j, lines[i])
+        elif kind == "swap":
+            mutated[i], mutated[j] = lines[j], lines[i]
+        else:
+            src, dst = rng.choice(keyed, 2, replace=False)
+            key = lines[dst].split("=", 1)[0].strip()
+            value = lines[src].split("=", 1)[1].strip()
+            if key in SIZE_KEYS and not _small(value):
+                value = str(rng.choice(SMALL))
+            mutated[dst] = f"{key} = {value}"
+            i, j = src, dst
+        # a deleted size key takes its default; basis_count's (0) is adaptive
+        if kind == "delete" and lines[i].startswith("basis_count"):
+            mutated.append("basis_count = 16")
+        cases.append((experiment, f"{path.stem}: {kind} lines {i}, {j}", mutated))
+    return cases
+
+
+def test_mutated_guard_configs_keep_the_exit_code_contract(tmp_path, capsys):
+    # Seeded mutations of the byte-guard configs.  Every run exits 0, 2, 3
+    # or 4 with no traceback; exit 2 names a field, exit 3 says "numerical
+    # failure", and neither leaves an output directory.
+    cases = config_mutations(np.random.default_rng(20240527))
+    assert len(cases) >= 150
+    failures = []
+    for n, (experiment, name, lines) in enumerate(cases):
+        config = tmp_path / f"case{n}.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        outdir = tmp_path / f"out{n}"
+        try:
+            code = whitefem.cli.run(experiment, str(config), str(outdir))
+        except Exception as exc:  # an escaped exception is exit 1 with a traceback
+            failures.append(f"{name}: raised {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3, 4) or "Traceback" in err:
+            failures.append(f"{name}: exit {code}, stderr {err!r}")
+        elif code == 2 and "field '" not in err:
+            failures.append(f"{name}: exit 2 names no field: {err!r}")
+        elif code == 3 and "numerical failure" not in err:
+            failures.append(f"{name}: exit 3 without 'numerical failure': {err!r}")
+        elif code in (2, 3) and outdir.exists():
+            failures.append(f"{name}: exit {code} left {outdir.name}")
+    assert not failures, "\n".join(failures)

@@ -129,10 +129,10 @@ def _flat_points(mesh):
 
 
 def _slab(ctx, x):
-    """Node-order rows x as a slab of ctx: row r holds node ctx.rows[r], and
+    """Node-order rows x as a slab of ctx: row r holds node ctx.free[r], and
     the last row, which every Dirichlet node reads, is zero."""
     slab = np.zeros((ctx.n_free + 1, *x.shape[1:]))
-    slab[:-1] = x[ctx.rows]
+    slab[:-1] = x[ctx.free]
     return slab
 
 
@@ -454,8 +454,8 @@ class TestL2Diagnostic:
         op = DiscreteSolutionOperator(mesh, neumann(), 1.0)
         n = 2000
         B = op.sampler.sample_batch(GaussianStream(7, 0), n)
-        C = op.solve_free(B[op.free])
-        vals = np.einsum("ij,ij->j", C, op.M_free @ C)
+        C = op.extend(op.solve_free(B[op.free]))
+        vals = np.einsum("ij,ij->j", C, op.M @ C)
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - series) <= 0.05 * series + 4.0 * se
 

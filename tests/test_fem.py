@@ -274,8 +274,10 @@ class TestSolve:
         sysm = FactorizedSystem(m, neumann(), 1.0)
         b = assemble_mass(m) @ np.ones(m.n_nodes)
         u = sysm.solve_checked(b)
-        assert np.linalg.norm(sysm.A @ u.coefficients - b) / np.linalg.norm(b) > 1e-10
-        assert sysm.backward_error(u.coefficients, b) < 1e-15
+        # A and backward_error read free-dof vectors in the order of free
+        c, b_free = u.coefficients[sysm.free], b[sysm.free]
+        assert np.linalg.norm(sysm.A @ c - b_free) / np.linalg.norm(b_free) > 1e-10
+        assert sysm.backward_error(c, b_free) < 1e-15
         assert np.abs(u.coefficients - 1.0).max() < 1e-9
 
     def test_perturbed_solution_is_refused(self, monkeypatch):
@@ -285,7 +287,7 @@ class TestSolve:
         c = sysm.solve(b)
         wrong = c.copy()
         wrong[m.n_nodes // 2] += 1e-6
-        assert sysm.backward_error(wrong, b) > 1e-10
+        assert sysm.backward_error(wrong[sysm.free], b[sysm.free]) > 1e-10
         monkeypatch.setattr(sysm, "solve", lambda load: wrong)
         with pytest.raises(RuntimeError, match="backward error .* exceeds 1e-10"):
             sysm.solve_checked(b)
@@ -314,33 +316,13 @@ class TestSolve:
         normal = sysm.solve_free(np.column_stack([b, b]))
         one = sysm.solve_free(b)
         assert np.abs(one - normal[:, 0]).max() <= 1e-13 * np.abs(normal[:, 0]).max()
-        order = sysm._free_order
-        direct = np.empty(sysm.n_free)
-        direct[order] = sysm._lu.solve(b[order], trans="T")
+        direct = sysm._lu.solve(b, trans="T")
         assert one.shape == b.shape
         assert np.array_equal(one, direct)
         # a one-column matrix takes the same path and keeps its shape
         col = sysm.solve_free(b[:, None])
         assert col.shape == (sysm.n_free, 1)
         assert np.array_equal(col[:, 0], one)
-
-    @pytest.mark.parametrize("bc", [neumann(), robin(0.8)])
-    def test_all_free_solve_skips_the_copy(self, bc):
-        m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 4, 3))
-        sysm = FactorizedSystem(m, bc, 0.7)
-        full = sysm.K + 0.7 * sysm.M
-        if bc.kind == "robin":
-            full = full + bc.beta * sysm.R
-        assert sysm.restrict(sysm.M) is sysm.M
-        restricted = full[np.ix_(sysm.free, sysm.free)].tocsc()
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(sysm.A, attr), getattr(restricted, attr))
-        rng = np.random.default_rng(9)
-        for b in (rng.standard_normal(m.n_nodes), rng.standard_normal((m.n_nodes, 3))):
-            assert np.array_equal(sysm.solve(b), sysm.solve_free(b))
-            copied = np.zeros(b.shape)
-            copied[sysm.free] = sysm.solve_free(b[sysm.free])
-            assert np.array_equal(sysm.solve(b), copied)
 
     @pytest.mark.parametrize("case", ["neumann", "robin", "dirichlet", "interval"])
     def test_operators_hold_int32_indices(self, case):
@@ -419,17 +401,14 @@ class TestNestedDissectionFactor:
         }[case]()
         sysm = FactorizedSystem(mesh, dirichlet(), 1.0)
         assert np.array_equal(sysm.order, nested_dissection(mesh, sysm.M))
-        # the all-node ordering with the boundary nodes dropped, each free
-        # node named by its position in sysm.free
-        free = sysm.free.tolist()
+        # the all-node ordering with the boundary nodes dropped
         boundary = set(mesh.boundary_nodes().tolist())
-        want = np.array([free.index(i) for i in sysm.order.tolist() if i not in boundary])
-        assert np.array_equal(sysm._free_order, want)
-        direct = fem._ordered_splu(sysm.A, want)
+        want = np.array([i for i in sysm.order.tolist() if i not in boundary])
+        assert np.array_equal(sysm.free, want)
+        full = sysm.K + 1.0 * sysm.M
+        direct = fem._spd_splu(fem._permuted(full, want))
         b = np.random.default_rng(8).standard_normal(sysm.n_free)
-        x = np.empty(sysm.n_free)
-        x[want] = direct.solve(b[want], trans="T")
-        assert np.array_equal(sysm.solve_free(b), x)
+        assert np.array_equal(sysm.solve_free(b), direct.solve(b, trans="T"))
 
     @pytest.mark.parametrize("case", ["rectangle-neumann", "rectangle-dirichlet", "rectangle-robin",
                                       "interval", "polygon", "small", "fine"])
@@ -477,17 +456,22 @@ class TestNestedDissectionFactor:
     def test_factor_input_equals_the_coo_route(self, kind, bc):
         # The permuted matrix built through COO triples, as its own
         # reference: SuperLU's factors of it have the bytes of the factors
-        # _ordered_splu makes of its row-gathered input.
+        # _spd_splu makes of _permuted's gathered input, for A's and M's.
         mesh = {"rectangle": refine_uniform(build_rectangle_mesh(np.pi, 2.0, 9, 6)),
                 "interval": build_interval_mesh(0.0, 2.0, 150)}[kind]
         sysm = FactorizedSystem(mesh, bc, 0.9)
-        for A, order in ((sysm.A, sysm._free_order), (sysm.M, sysm.order)):
-            position = np.empty(order.size, dtype=np.int64)
-            position[order] = np.arange(order.size)
-            coo = A.tocoo()
-            permuted = sp.csc_matrix((coo.data, (position[coo.row], position[coo.col])), shape=A.shape)
+        full = sysm.K + 0.9 * sysm.M
+        if sysm.R is not None:
+            full = full + bc.beta * sysm.R
+        for S, keep in ((full, sysm.free), (sysm.M, sysm.order)):
+            position = np.full(mesh.n_nodes, -1)
+            position[keep] = np.arange(keep.size)
+            coo = S.tocoo()
+            row, col = position[coo.row], position[coo.col]
+            inside = (row >= 0) & (col >= 0)
+            permuted = sp.csc_matrix((coo.data[inside], (row[inside], col[inside])), shape=(keep.size,) * 2)
             want = splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-            got = fem._ordered_splu(A, order)
+            got = fem._spd_splu(fem._permuted(S, keep))
             for g, w in ((got.L, want.L), (got.U, want.U)):
                 for name in ("data", "indices", "indptr"):
                     assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
@@ -497,7 +481,7 @@ class TestNestedDissectionFactor:
     def test_rejects_off_diagonal_pivot(self):
         A = sp.csc_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="not SPD"):
-            fem._ordered_splu(A, np.arange(2))
+            fem._spd_splu(A)
 
     def test_fill_below_colamd(self):
         m = refine_uniform(refine_uniform(build_rectangle_mesh(np.pi, np.pi, 32, 32)))
@@ -523,18 +507,44 @@ class TestNestedDissectionFactor:
         m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 12, 12))
         sysm = FactorizedSystem(m, dirichlet(), 0.7)
         B = np.random.default_rng(width).standard_normal((sysm.n_free, width))
-        whole = np.empty(B.shape)
-        whole[sysm._free_order] = sysm._lu.solve(B[sysm._free_order])
+        whole = sysm._lu.solve(B)
         X = sysm.solve_free(B)
         assert np.array_equal(X, whole)
         assert np.array_equal(sysm.solve_free(B[:, 0]), sysm.solve_free(B[:, :1])[:, 0])
+        # up to one chunk, SuperLU's own array is returned, with no copy
+        returned, lu = [], sysm._lu
+        sysm._lu = SimpleNamespace(solve=lambda b, **kw: returned.append(lu.solve(b, **kw)) or returned[-1])
+        assert (sysm.solve_free(B) is returned[-1]) == (width <= fem._SOLVE_CHUNK)
+
+
+@pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.8)], ids=["dirichlet", "neumann", "robin"])
+@pytest.mark.parametrize("kind", ["rectangle", "interval"])
+def test_free_positions_are_the_factor_rows(kind, bc, monkeypatch):
+    # One index map for every boundary condition: free lists the free nodes
+    # in the nested-dissection order, A on them is SuperLU's input as it is,
+    # and a node-order solve is the free solve extended.
+    mesh = {"rectangle": refine_uniform(build_rectangle_mesh(np.pi, 2.0, 9, 6)),
+            "interval": build_interval_mesh(0.0, 2.0, 150)}[kind]
+    sysm = FactorizedSystem(mesh, bc, 0.9)
+    boundary = set(mesh.boundary_nodes().tolist()) if bc.kind == "dirichlet" else set()
+    assert sysm.free.tolist() == [i for i in sysm.order.tolist() if i not in boundary]
+    factored = []
+    inner = fem.splu
+    monkeypatch.setattr(fem, "splu", lambda A, **kw: factored.append(A) or inner(A, **kw))
+    load = np.random.default_rng(16).standard_normal(mesh.n_nodes)
+    x = sysm.solve(load)
+    (given,) = factored
+    assert given.format == "csc"
+    for name in ("indptr", "indices", "data"):
+        assert getattr(given, name).tobytes() == getattr(sysm.A, name).tobytes()
+    assert x.tobytes() == sysm.extend(sysm.solve_free(load[sysm.free])).tobytes()
 
 
 class TestFactorOnFirstSolve:
     def test_factors_once_on_the_first_solve(self, monkeypatch):
         factored = []
-        inner = fem._ordered_splu
-        monkeypatch.setattr(fem, "_ordered_splu", lambda A, order: factored.append(A) or inner(A, order))
+        inner = fem._spd_splu
+        monkeypatch.setattr(fem, "_spd_splu", lambda A: factored.append(A) or inner(A))
         m = refine_uniform(build_rectangle_mesh(1.0, 1.0, 6, 5))
         sysm = FactorizedSystem(m, robin(0.8), 0.7)
         assert len(factored) == 0
@@ -548,13 +558,10 @@ class TestFactorOnFirstSolve:
     def test_solves_bitwise_as_an_eager_factor(self, bc):
         m = refine_uniform(build_rectangle_mesh(np.pi, 2.0, 9, 6))
         sysm = FactorizedSystem(m, bc, 0.9)
-        eager = fem._ordered_splu(sysm.A, sysm._free_order)
-        order = sysm._free_order
+        eager = fem._spd_splu(sysm.A)
         B = np.random.default_rng(15).standard_normal((sysm.n_free, 32))
-        one = np.empty(sysm.n_free)
-        one[order] = eager.solve(B[order, 0], trans="T")
-        wide = np.empty(B.shape)
-        wide[order] = eager.solve(B[order])
+        one = eager.solve(B[:, 0], trans="T")
+        wide = eager.solve(B)
         assert np.array_equal(sysm.solve_free(B[:, 0]), one)
         assert np.array_equal(sysm.solve_free(B), wide)
 

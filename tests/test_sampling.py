@@ -58,7 +58,7 @@ class TestSamplePath:
         assert isinstance(op, fem.FactorizedSystem)
         assert not hasattr(op, "system")
         assert op.sampler.M is op.M
-        assert (op.A != op.K + 1.0 * op.M + 2.0 * op.R).nnz == 0
+        assert (op.A != (op.K + 1.0 * op.M + 2.0 * op.R)[op.free][:, op.free]).nnz == 0
 
     def test_path_satisfies_discrete_equation(self, neumann_op):
         path, load = sample_path_with_load(neumann_op, GaussianStream(9, 4))
@@ -74,13 +74,13 @@ class TestSamplePath:
 class TestFactorOrder:
     @pytest.mark.parametrize("bc", [neumann(), robin(0.8), dirichlet()], ids=["neumann", "robin", "dirichlet"])
     def test_mass_is_factored_before_the_system(self, bc, monkeypatch):
-        # sparse_cholesky looks _ordered_splu up in fem, so this sees both factors
+        # sparse_cholesky looks _spd_splu up in fem, so this sees both factors
         factored = []
-        inner = fem._ordered_splu
-        monkeypatch.setattr(fem, "_ordered_splu", lambda A, order: factored.append(A) or inner(A, order))
+        inner = fem._spd_splu
+        monkeypatch.setattr(fem, "_spd_splu", lambda A: factored.append(A) or inner(A))
         op = DiscreteSolutionOperator(build_rectangle_mesh(2.0, 1.0, 6, 4), bc, 0.9)
         assert len(factored) == 2
-        assert factored[0] is op.M
+        assert (factored[0] != op.M[op.order][:, op.order]).nnz == 0
         assert factored[1] is op.A
         sample_path_with_load(op, GaussianStream(3, 1))
         op.probe([(0.5, 0.5), (1.5, 0.2)])
@@ -102,7 +102,7 @@ class TestFactorizationProbe:
     @pytest.mark.parametrize("bc", [neumann(), robin(0.8), dirichlet()], ids=["neumann", "robin", "dirichlet"])
     def test_factor_of_another_matrix_is_refused(self, bc, monkeypatch):
         def wrong_factor(system):
-            return fem._ordered_splu(2.0 * system.A, system._free_order)
+            return fem._spd_splu(2.0 * system.A)
 
         monkeypatch.setattr(fem.FactorizedSystem, "_lu", property(wrong_factor))
         with pytest.raises(RuntimeError, match="factorization probe backward error .* exceeds 1e-10"):
@@ -246,7 +246,7 @@ def written_out_covariances(op, points):
     # p(x)^T A^{-1} M A^{-1} p(y) with dense matrices on the free nodes
     P = point_vectors(op.mesh, points)[op.free]
     A = op.A.toarray()
-    M = op.restrict(op.M).toarray()
+    M = op.M[op.free][:, op.free].toarray()
     W = np.linalg.solve(A, P)
     return W.T @ M @ W
 

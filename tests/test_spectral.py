@@ -143,6 +143,27 @@ class TestEigenpairs:
         assert np.abs(-derivs[:, 0] + beta * vals[:, 0]).max() < 1e-7
         assert np.abs(derivs[:, 1] + beta * vals[:, 1]).max() < 1e-7
 
+    @pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.7)], ids=["dirichlet", "neumann", "robin"])
+    def test_thin_rectangle_sizes_each_axis_from_the_modes_it_needs(self, bc):
+        # On (1e6, 1) the first 256 modes all lie on the y ground state.
+        # Counting x-modes up to the 2D Weyl estimate, without the y ground
+        # state, took 1,240,668 x-modes here for Dirichlet.
+        count = 256
+        basis = eigenpairs(Rectangle(1e6, 1.0), bc, count)
+        assert basis.basis_x.count <= count + 8 and basis.basis_y.count <= 8
+        # brute force: every sum of 300 x and 300 y eigenvalues, sorted
+        mx = eigenpairs(Interval(0.0, 1e6), bc, 300).mu
+        my = eigenpairs(Interval(0.0, 1.0), bc, 300).mu
+        want = np.sort((mx[:, None] + my[None, :]).ravel())[:count]
+        assert basis.mu.tobytes() == want.tobytes()
+
+    def test_rectangle_extremes_end(self):
+        # a measure that overflows starts R at 0, which must still grow
+        basis = eigenpairs(Rectangle(1e300, 1e10), dirichlet(), 256)
+        assert basis.count == 256 and np.isfinite(basis.mu).all()
+        with pytest.raises(ValueError, match="overflow"):
+            eigenpairs(Rectangle(1e-160, 1.0), dirichlet(), 256)
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             eigenpairs(Interval(0, 1), dirichlet(), 0)
